@@ -113,12 +113,12 @@ type Level struct {
 	lastIdx   int32
 	lastSet   int32
 	lastWay   int32
-	lines    []line
-	lru      []uint64 // access stamp per way (max = MRU; see touch)
-	lruTick  uint64
-	fill     []uint16 // valid lines per set (monotone: lines never invalidate)
-	plru     []uint32
-	rng      uint64
+	lines     []line
+	lru       []uint64 // access stamp per way (max = MRU; see touch)
+	lruTick   uint64
+	fill      []uint16 // valid lines per set (monotone: lines never invalidate)
+	plru      []uint32
+	rng       uint64
 
 	victim     []line
 	victimLRU  []uint8

@@ -1,8 +1,10 @@
-// Lane-batched replay: one walk over a decoded trace's columns steps a
-// vector of per-config lanes. Lanes are fully independent — nothing in a
+// Lane-batched replay, the one decoded replay kernel: one walk over a
+// decoded trace's columns steps a vector of per-config lanes (production
+// replay is the one-lane case). Lanes are fully independent — nothing in a
 // lane reads another lane — so each lane's Result is identical to a
-// sequential RunDecoded of its config by construction (the walk drives the
-// same stepLane kernel with the same per-lane argument sequence).
+// one-lane walk of its config, and to the per-event Model.Run oracle, by
+// construction (all drive the same stepLane kernel with the same per-lane
+// argument sequence).
 //
 // The walk is chunked lane-major: events are consumed in fixed-size column
 // chunks, and within a chunk each lane replays all of the chunk's events
@@ -54,9 +56,6 @@ func NewInOrderBatch(cfgs []InOrderConfig) (*InOrderBatch, error) {
 	}
 	return b, nil
 }
-
-// Lanes returns the lane count.
-func (b *InOrderBatch) Lanes() int { return len(b.lanes) }
 
 // RunDecoded walks d's columns once, stepping every lane per event, and
 // returns one Result per lane (in constructor config order). behav must be
@@ -132,9 +131,6 @@ func NewOoOBatch(cfgs []OoOConfig) (*OoOBatch, error) {
 	}
 	return b, nil
 }
-
-// Lanes returns the lane count.
-func (b *OoOBatch) Lanes() int { return len(b.lanes) }
 
 // RunDecoded walks d's columns once, stepping every lane per event; see
 // InOrderBatch.RunDecoded.

@@ -234,33 +234,6 @@ func (m *InOrder) Run(src trace.Source) (Result, error) {
 	return m.lane.finish(), nil
 }
 
-// RunDecoded implements Model.
-func (m *InOrder) RunDecoded(d *trace.Decoded) (Result, error) {
-	return m.RunDecodedBehaviors(d, nil)
-}
-
-// RunDecodedBehaviors is RunDecoded with a pre-compiled behavior table for
-// d.Insts (nil: compiled here). Batch callers pass the memoized table so a
-// single-lane run shares the batch path's compilation work.
-func (m *InOrder) RunDecodedBehaviors(d *trace.Decoded, behav []Behavior) (Result, error) {
-	if d.DepBug != m.st.depBug {
-		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.st.depBug)
-	}
-	if behav == nil {
-		behav = CompileBehaviors(d.Insts)
-	}
-	pcs, mems, tgts := d.PC, d.MemAddr, d.Target
-	for i, id := range d.IDs {
-		m.lane.stepLane(&m.st, &behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
-	}
-	if d.Err != nil {
-		return Result{}, fmt.Errorf("core: %w", d.Err)
-	}
-	cc := classHistogram(d.IDs, behav)
-	addCounts(&m.lane.res, uint64(len(d.IDs)), &cc)
-	return m.lane.finish(), nil
-}
-
 func (ln *inOrderLane) finish() Result {
 	ln.res.Cycles = ln.endCycle
 	if ln.res.Cycles == 0 && ln.res.Instructions > 0 {
@@ -275,11 +248,11 @@ func (ln *inOrderLane) finish() Result {
 // stepLane advances one lane by one dynamic instruction: st and b are the
 // lane's config-derived static state and the instruction's shared behavior
 // (both never mutated), the remaining arguments are the event's dynamic
-// fields. It is the single step kernel: sequential replay, the per-event
-// oracle and the batched walk all funnel through it, so their results are
-// identical by construction. Instruction and class counts are NOT updated
-// here — they are lane-invariant over a trace, so callers add them in bulk
-// (see countEvents) instead of paying two read-modify-writes per step.
+// fields. It is the single step kernel: the per-event oracle and the
+// batched walk both funnel through it, so their results are identical by
+// construction. Instruction and class counts are NOT updated here — they
+// are lane-invariant over a trace, so callers add them in bulk (see
+// addCounts) instead of paying two read-modify-writes per step.
 func (ln *inOrderLane) stepLane(st *inOrderStatic, b *Behavior, pc, memAddr, target uint64, taken bool) {
 	earliest := ln.fetchAvail
 	if ln.cycle > earliest {

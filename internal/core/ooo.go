@@ -141,32 +141,6 @@ func (m *OoO) Run(src trace.Source) (Result, error) {
 	return m.lane.finish(), nil
 }
 
-// RunDecoded implements Model.
-func (m *OoO) RunDecoded(d *trace.Decoded) (Result, error) {
-	return m.RunDecodedBehaviors(d, nil)
-}
-
-// RunDecodedBehaviors is RunDecoded with a pre-compiled behavior table for
-// d.Insts (nil: compiled here).
-func (m *OoO) RunDecodedBehaviors(d *trace.Decoded, behav []Behavior) (Result, error) {
-	if d.DepBug != m.st.depBug {
-		return Result{}, fmt.Errorf("core: decoded trace uses DepBug=%v, model configured with %v", d.DepBug, m.st.depBug)
-	}
-	if behav == nil {
-		behav = CompileBehaviors(d.Insts)
-	}
-	pcs, mems, tgts := d.PC, d.MemAddr, d.Target
-	for i, id := range d.IDs {
-		m.lane.stepLane(&m.st, &behav[id], pcs[i], mems[i], tgts[i], d.Taken(i))
-	}
-	if d.Err != nil {
-		return Result{}, fmt.Errorf("core: %w", d.Err)
-	}
-	cc := classHistogram(d.IDs, behav)
-	addCounts(&m.lane.res, uint64(len(d.IDs)), &cc)
-	return m.lane.finish(), nil
-}
-
 func (ln *oooLane) finish() Result {
 	ln.res.Cycles = ln.endCycle
 	if ln.res.Cycles == 0 && ln.res.Instructions > 0 {

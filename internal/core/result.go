@@ -41,14 +41,10 @@ func (r Result) IPC() float64 {
 type Model interface {
 	// Run replays src from its current position to the end and returns
 	// the accumulated timing result, decoding each event as it goes.
-	// Callers reset the source. It is the reference replay path; the
-	// decoded path below is the fast one.
+	// Callers reset the source. It is the per-event reference oracle;
+	// production replay goes through the lane-batched walk (InOrderBatch,
+	// OoOBatch), which produces identical Results.
 	Run(src trace.Source) (Result, error)
-	// RunDecoded replays a pre-decoded trace: a linear walk over the
-	// columnar form with no per-event decode, map lookup or isa.Inst
-	// copy. The decoded trace's decoder variant must match the model's
-	// DecoderDepBug setting. Both paths produce identical Results.
-	RunDecoded(d *trace.Decoded) (Result, error)
 }
 
 // decodeCache memoizes static decode by instruction word — compiled

@@ -173,10 +173,6 @@ type Options struct {
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS). Output
 	// is byte-identical for any value.
 	Parallelism int
-	// Lanes, when > 1, lane-batches simulations sharing a trace through
-	// shared column walks (run/experiments/validate jobs; see
-	// sim.RunBatch). Output is byte-identical for any value.
-	Lanes int
 	// CachePath names a JSON snapshot persisting the simulation cache
 	// across runs: loaded before the job, saved after. Ignored when Cache
 	// is set (the cache owner handles persistence).
@@ -263,7 +259,6 @@ type Result struct {
 type env struct {
 	ctx    context.Context
 	par    int
-	lanes  int
 	cache  *simcache.Cache
 	memo   *tracememo.Memo // nil: no trace memoization
 	shared bool            // cache owned by the caller: skip snapshot load/save
@@ -408,7 +403,6 @@ func ExecuteContext(ctx context.Context, job Job, opts Options) (*Result, error)
 	e := &env{
 		ctx:    ctx,
 		par:    opts.Parallelism,
-		lanes:  opts.Lanes,
 		cache:  opts.Cache,
 		memo:   opts.TraceMemo,
 		shared: opts.Cache != nil,

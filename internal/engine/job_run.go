@@ -164,7 +164,7 @@ func (e *env) runJob(j *RunJob) error {
 			e.eprintf("racesim: %s: rejected %d corrupted cache entries\n", e.path, rejected)
 		}
 	}
-	runner := expt.NewRunner(e.cache, e.par).WithContext(e.ctx).WithLanes(e.lanes)
+	runner := expt.NewRunner(e.cache, e.par).WithContext(e.ctx)
 	units := make([]expt.Unit, len(trs))
 	for i, tr := range trs {
 		units[i] = expt.Unit{Config: cfg, Trace: tr}

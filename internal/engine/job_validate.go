@@ -70,7 +70,6 @@ func (e *env) validateJob(j *ValidateJob) error {
 		UbenchScale:  scale,
 		Cache:        e.cache,
 		Parallelism:  e.par,
-		Lanes:        e.lanes,
 		Context:      e.ctx,
 		Log:          logf,
 	})

@@ -31,10 +31,6 @@ type Options struct {
 	// value: simulation is deterministic and results are reassembled in
 	// submission order.
 	Parallelism int
-	// Lanes, when > 1, lane-batches simulation units sharing a trace
-	// through shared column walks (see Runner.WithLanes). Results are
-	// identical to per-unit scheduling.
-	Lanes int
 	// Cache, when non-nil, memoizes simulation results across all
 	// experiments (and across processes via simcache LoadFile/SaveFile).
 	Cache *simcache.Cache
@@ -91,7 +87,7 @@ func NewContext(opts Options) (*Context, error) {
 	o := opts.withDefaults()
 	return &Context{
 		opts: o, plat: plat,
-		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context).WithLanes(o.Lanes),
+		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context),
 		ms:     map[*hw.Board][]validate.Measurement{},
 	}, nil
 }
@@ -136,7 +132,6 @@ func (c *Context) StagesA53() ([]validate.StageResult, error) {
 		UbenchScale:  c.opts.UbenchScale,
 		Cache:        c.runner.Cache(),
 		Parallelism:  c.runner.Parallelism(),
-		Lanes:        c.runner.Lanes(),
 		Context:      c.opts.Context,
 		Log:          c.opts.Log,
 	})
@@ -159,7 +154,6 @@ func (c *Context) StagesA72() ([]validate.StageResult, error) {
 		UbenchScale:  c.opts.UbenchScale,
 		Cache:        c.runner.Cache(),
 		Parallelism:  c.runner.Parallelism(),
-		Lanes:        c.runner.Lanes(),
 		Context:      c.opts.Context,
 		Log:          c.opts.Log,
 	})
@@ -291,7 +285,6 @@ func (c *Context) Fig2() (Experiment, error) {
 	res, err := validate.Tune(sim.PublicA53(), ms, validate.TuneOptions{
 		Budget: c.opts.BudgetRound1, Seed: c.opts.Seed,
 		Cache: c.runner.Cache(), Parallelism: c.runner.Parallelism(),
-		Lanes:   c.runner.Lanes(),
 		Context: c.opts.Context,
 		Log:     c.opts.Log,
 	})

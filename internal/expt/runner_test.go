@@ -80,62 +80,19 @@ func TestRunAllDeduplicatesRepeats(t *testing.T) {
 	}
 }
 
-func TestRunAllLaneBatchedMatchesSequential(t *testing.T) {
-	units := testUnits(t)
-	// Vary the configurations so each trace group carries several distinct
-	// lanes, not just the two presets.
-	for i := range units {
-		if units[i].Config.Kind == sim.InOrder {
-			units[i].Config.Mem.L1D.HitLatency = 2 + i%3
-		} else {
-			units[i].Config.ROBEntries = 64 + 16*(i%4)
-		}
-	}
-
-	seq, err := NewRunner(nil, 1).RunAll(units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lanes := range []int{2, 16} {
-		cache := simcache.New()
-		batched, err := NewRunner(cache, 4).WithLanes(lanes).RunAll(units)
-		if err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		for i := range units {
-			if seq[i] != batched[i] {
-				t.Errorf("lanes=%d unit %d: batched result differs from sequential", lanes, i)
-			}
-		}
-		if st := cache.Stats(); st.Misses != uint64(len(units)) {
-			t.Errorf("lanes=%d: misses = %d, want %d", lanes, st.Misses, len(units))
-		}
-	}
-}
-
-func TestRunAllLaneBatchedReportsLowestIndexedError(t *testing.T) {
+func TestRunAllReportsLowestIndexedError(t *testing.T) {
 	units := testUnits(t)
 	bad := units[3]
 	bad.Config.Kind = "bogus"
 	units[3] = bad
 	units[5].Config.Kind = "bogus"
 
-	_, err := NewRunner(simcache.New(), 4).WithLanes(8).RunAll(units)
+	_, err := NewRunner(simcache.New(), 4).RunAll(units)
 	if err == nil {
 		t.Fatal("want an error from the invalid units")
 	}
 	if !strings.Contains(err.Error(), "unit 3 ") {
 		t.Errorf("error %q does not name the lowest-indexed failing unit", err)
-	}
-}
-
-func TestWithLanesNoOpBelowTwo(t *testing.T) {
-	r := NewRunner(nil, 1)
-	if r.WithLanes(0) != r || r.WithLanes(1) != r {
-		t.Error("WithLanes(<=1) should return the receiver unchanged")
-	}
-	if got := r.WithLanes(4).Lanes(); got != 4 {
-		t.Errorf("Lanes() = %d, want 4", got)
 	}
 }
 

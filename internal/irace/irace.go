@@ -21,20 +21,6 @@ type Evaluator interface {
 	NumInstances() int
 }
 
-// BatchEvaluator is an optional Evaluator extension: CostBatch scores many
-// configurations on one instance in a single call, so an implementation
-// backed by trace replay can batch the simulations into shared column
-// walks (see sim.RunBatch). Element i of the result must be exactly what
-// Cost(cfgs[i], instance) would return — batching is a throughput choice,
-// never a semantic one — and the tuner's races and eliminations are
-// unchanged by which path scored a pair.
-type BatchEvaluator interface {
-	Evaluator
-	// CostBatch returns the error metric for each configuration on
-	// instance, aligned with cfgs.
-	CostBatch(cfgs []Assignment, instance int) []float64
-}
-
 // Options tunes the tuner itself. Zero values select defaults.
 type Options struct {
 	// Budget is the maximum number of (configuration, instance)
@@ -336,42 +322,6 @@ func (t *Tuner) evalBatch(cands []*candidate, instances []int) {
 		return
 	}
 	t.used += len(jobs)
-
-	// A batch-capable evaluator gets one call per instance with every
-	// candidate that still needs that instance, so it can replay them in
-	// shared column walks. Costs land in the same slots as the
-	// per-pair path would fill.
-	if be, ok := t.eval.(BatchEvaluator); ok {
-		instOrder := make([]int, 0, len(instances))
-		byInst := make(map[int][]job)
-		for _, jb := range jobs {
-			if _, seen := byInst[jb.inst]; !seen {
-				instOrder = append(instOrder, jb.inst)
-			}
-			byInst[jb.inst] = append(byInst[jb.inst], jb)
-		}
-		sem := make(chan struct{}, t.opt.Parallelism)
-		var wg sync.WaitGroup
-		for _, inst := range instOrder {
-			group := byInst[inst]
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(inst int, group []job) {
-				defer wg.Done()
-				cfgs := make([]Assignment, len(group))
-				for j, jb := range group {
-					cfgs[j] = jb.c.cfg
-				}
-				costs := be.CostBatch(cfgs, inst)
-				for j, jb := range group {
-					jb.c.costs[inst] = costs[j]
-				}
-				<-sem
-			}(inst, group)
-		}
-		wg.Wait()
-		return
-	}
 
 	sem := make(chan struct{}, t.opt.Parallelism)
 	var wg sync.WaitGroup

@@ -336,59 +336,3 @@ func (e *catEval) Cost(cfg Assignment, instance int) float64 {
 	d := float64(size - 7)
 	return c + d*d + 0.1*float64(instance%3)
 }
-
-// batchQuadEval wraps quadEval with a CostBatch that scores through the
-// same cost function, counting batch calls and verifying every batch
-// targets a single instance.
-type batchQuadEval struct {
-	quadEval
-	batchCalls atomic.Int64
-}
-
-func (e *batchQuadEval) CostBatch(cfgs []Assignment, instance int) []float64 {
-	e.batchCalls.Add(1)
-	out := make([]float64, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i] = e.Cost(cfg, instance)
-	}
-	return out
-}
-
-// TestBatchEvaluatorMatchesPerPair runs the same seeded tune through the
-// per-pair path and the batched path: the results must be identical (the
-// BatchEvaluator contract says batching is a throughput choice, never a
-// semantic one), and the batched run must actually route through
-// CostBatch.
-func TestBatchEvaluatorMatchesPerPair(t *testing.T) {
-	space, plain := testSpace(t, 4, 6)
-	tuPlain, err := New(space, plain, Options{Budget: 600, Seed: 11, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := tuPlain.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	_, fresh := testSpace(t, 4, 6)
-	batch := &batchQuadEval{quadEval: quadEval{space: fresh.space, optimum: fresh.optimum, instances: fresh.instances}}
-	tuBatch, err := New(space, batch, Options{Budget: 600, Seed: 11, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tuBatch.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if a.Best.Key() != b.Best.Key() || a.BestCost != b.BestCost || a.Evaluations != b.Evaluations {
-		t.Errorf("batched tune diverged from per-pair:\n per-pair best %s cost %v evals %d\n batched  best %s cost %v evals %d",
-			a.Best.Key(), a.BestCost, a.Evaluations, b.Best.Key(), b.BestCost, b.Evaluations)
-	}
-	if batch.batchCalls.Load() == 0 {
-		t.Error("BatchEvaluator was never routed through CostBatch")
-	}
-	if got, want := batch.calls.Load(), int64(b.Evaluations); got != want {
-		t.Errorf("cost evaluations %d, want exactly %d (one per charged evaluation)", got, want)
-	}
-}

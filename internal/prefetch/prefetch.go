@@ -253,6 +253,10 @@ func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	return out
 }
 
+// spatialRegions bounds how many 4 KB regions the spatial prefetcher
+// tracks; past it, the oldest-inserted region is forgotten first.
+const spatialRegions = 1024
+
 // spatial models an undisclosed region-based prefetcher: on two misses
 // within the same 4 KB region it fetches the region's subsequent lines
 // aggressively. It stands in for the real A72's prefetch behaviour that the
@@ -261,6 +265,12 @@ type spatial struct {
 	cfg    Config
 	line   uint64
 	recent map[uint64]uint64 // region -> last line seen in region
+	// order holds the tracked regions in insertion order as a ring; once
+	// full, next is the oldest slot, evicted by the next new region. A
+	// fixed eviction order keeps the model deterministic (a map range
+	// would not be).
+	order [spatialRegions]uint64
+	next  int
 }
 
 func newSpatial(cfg Config, line uint64) *spatial {
@@ -273,15 +283,14 @@ func (p *spatial) Observe(_, lineAddr uint64, miss bool) []uint64 {
 	}
 	region := lineAddr >> 12
 	last, seen := p.recent[region]
-	p.recent[region] = lineAddr
-	if len(p.recent) > 1024 { // bound state
-		for k := range p.recent {
-			delete(p.recent, k)
-			if len(p.recent) <= 512 {
-				break
-			}
+	if !seen {
+		if len(p.recent) == spatialRegions {
+			delete(p.recent, p.order[p.next])
 		}
+		p.order[p.next] = region
+		p.next = (p.next + 1) % spatialRegions
 	}
+	p.recent[region] = lineAddr
 	if !seen || last == lineAddr {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -122,6 +123,36 @@ func TestSpatialStaysInRegion(t *testing.T) {
 	for _, a := range fired {
 		if a>>12 != 0x40 {
 			t.Errorf("spatial prefetch %#x escaped the 4KB region", a)
+		}
+	}
+}
+
+// TestSpatialEvictionDeterministic drives the spatial prefetcher past its
+// 1024-region bound twice and requires identical outputs: eviction must
+// not depend on map iteration order. It also pins the policy — the oldest
+// region goes first — so revisiting the regions newest-first fires for
+// exactly the 1024 newest and for none of the evicted ones.
+func TestSpatialEvictionDeterministic(t *testing.T) {
+	const regions = 1500
+	drive := func() [][]uint64 {
+		p := mk(t, Config{Kind: KindSpatial, Degree: 2, Distance: 1})
+		var out [][]uint64
+		for r := uint64(1); r <= regions; r++ {
+			out = append(out, p.Observe(0, r<<12, true))
+		}
+		for r := uint64(regions); r >= 1; r-- {
+			out = append(out, p.Observe(0, r<<12+0x80, true))
+		}
+		return out
+	}
+	a, b := drive(), drive()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("spatial prefetcher output differs between identical runs")
+	}
+	for i, fired := range a[regions:] {
+		r := regions - i
+		if live := r > regions-1024; live != (len(fired) > 0) {
+			t.Errorf("region %d revisit fired=%v, want %v", r, len(fired) > 0, live)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"weak"
 
 	"racesim/internal/core"
 	"racesim/internal/trace"
@@ -10,18 +12,23 @@ import (
 
 // behaviorTables memoizes the compiled behavior table per decoded trace.
 // A *trace.Decoded is immutable and itself memoized on its Trace (one
-// instance per decoder variant), so the pointer is a stable key; like the
-// decode it caches for, an entry lives as long as the process (traces are
-// few and long-lived in every racesim workload).
-var behaviorTables sync.Map // *trace.Decoded -> []core.Behavior
+// instance per decoder variant), so its identity is a stable key. The key
+// is a weak pointer and a cleanup drops the entry once the decode is
+// collected, so the table lives exactly as long as the decode it serves
+// instead of pinning every decode (and its columns) for the process.
+var behaviorTables sync.Map // weak.Pointer[trace.Decoded] -> []core.Behavior
 
 // Behaviors returns the memoized behavior table for a decoded trace,
 // compiling it on first use. The table is immutable and share-safe.
 func Behaviors(d *trace.Decoded) []core.Behavior {
-	if v, ok := behaviorTables.Load(d); ok {
+	key := weak.Make(d)
+	if v, ok := behaviorTables.Load(key); ok {
 		return v.([]core.Behavior)
 	}
-	v, _ := behaviorTables.LoadOrStore(d, core.CompileBehaviors(d.Insts))
+	v, loaded := behaviorTables.LoadOrStore(key, core.CompileBehaviors(d.Insts))
+	if !loaded {
+		runtime.AddCleanup(d, func(k weak.Pointer[trace.Decoded]) { behaviorTables.Delete(k) }, key)
+	}
 	return v.([]core.Behavior)
 }
 
@@ -85,19 +92,4 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 		}
 	}
 	return out, nil
-}
-
-// RunBatchTrace is RunBatch over a raw trace: all configs must share a
-// decoder variant (they are replayed against one decode).
-func RunBatchTrace(configs []Config, tr *trace.Trace) ([]core.Result, error) {
-	if len(configs) == 0 {
-		return nil, nil
-	}
-	depBug := configs[0].DecoderDepBug
-	for _, c := range configs[1:] {
-		if c.DecoderDepBug != depBug {
-			return nil, fmt.Errorf("sim: batch mixes decoder variants (DepBug true and false)")
-		}
-	}
-	return RunBatch(configs, tr.Decoded(depBug))
 }

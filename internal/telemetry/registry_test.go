@@ -167,6 +167,45 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 }
 
+// TestConcurrentGetOrCreate registers the same samples from many
+// goroutines at once, as concurrent HTTP handlers do, while snapshotting:
+// every caller must get the one shared instrument, so no increment is
+// lost to a sibling created in a race.
+func TestConcurrentGetOrCreate(t *testing.T) {
+	r := NewRegistry()
+	const workers, per = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				r.Counter("jobs_total", "", L("kind", "run")).Inc()
+				r.Gauge("depth", "").Add(1)
+				r.Histogram("wait_seconds", "", []float64{1}).Observe(0.5)
+				r.GaugeFunc("up", "", func() float64 { return 1 })
+				if i%50 == 0 {
+					var b bytes.Buffer
+					if err := r.WritePrometheus(&b); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Counter("jobs_total", "", L("kind", "run")).Value(); got != workers*per {
+		t.Errorf("counter = %d, want %d", got, workers*per)
+	}
+	if got := r.Gauge("depth", "").Value(); got != workers*per {
+		t.Errorf("gauge = %v, want %d", got, workers*per)
+	}
+	if got := r.Histogram("wait_seconds", "", []float64{1}).Count(); got != workers*per {
+		t.Errorf("histogram count = %d, want %d", got, workers*per)
+	}
+}
+
 // TestSameInstrumentReturned: get-or-create semantics — the same
 // name+labels yields the same instrument; different labels a sibling.
 func TestSameInstrumentReturned(t *testing.T) {

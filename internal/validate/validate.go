@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 
-	"racesim/internal/core"
 	"racesim/internal/hw"
 	"racesim/internal/irace"
 	"racesim/internal/lmbench"
@@ -191,28 +190,10 @@ type Evaluator struct {
 	Ms      []Measurement
 	Weights CostWeights
 	Cache   *simcache.Cache
-	// Lanes caps how many candidate configurations one CostBatch call
-	// replays per column walk (0: simcache.DefaultLanes).
-	Lanes int
 }
 
 // NumInstances implements irace.Evaluator.
 func (e *Evaluator) NumInstances() int { return len(e.Ms) }
-
-// cost scores a simulated result against one measurement; Cost and
-// CostBatch share it so both paths compute identical numbers.
-func (e *Evaluator) cost(res core.Result, m Measurement) float64 {
-	cost := math.Abs(res.CPI()-m.Counters.CPI) / m.Counters.CPI
-	if e.Weights.BranchMPKI > 0 {
-		simMPKI := res.Branch.MPKI(res.Instructions)
-		den := m.Counters.BranchMPKI
-		if den < 1 {
-			den = 1
-		}
-		cost += e.Weights.BranchMPKI * math.Abs(simMPKI-m.Counters.BranchMPKI) / den
-	}
-	return cost
-}
 
 // Cost implements irace.Evaluator: the error of the configuration obtained
 // by overlaying the assignment on the base model, on one benchmark.
@@ -226,36 +207,16 @@ func (e *Evaluator) Cost(a irace.Assignment, instance int) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	return e.cost(res, m)
-}
-
-// CostBatch implements irace.BatchEvaluator: the candidates that survive
-// overlay validation are submitted to the cache in one batch, so the
-// misses replay in lane-batched column walks over the instance's trace.
-// Element i is exactly Cost(as[i], instance).
-func (e *Evaluator) CostBatch(as []irace.Assignment, instance int) []float64 {
-	out := make([]float64, len(as))
-	cfgs := make([]sim.Config, 0, len(as))
-	idx := make([]int, 0, len(as))
-	for i, a := range as {
-		cfg, err := sim.Apply(e.Base, a)
-		if err != nil {
-			out[i] = math.Inf(1) // invalid combinations lose every race
-			continue
+	cost := math.Abs(res.CPI()-m.Counters.CPI) / m.Counters.CPI
+	if e.Weights.BranchMPKI > 0 {
+		simMPKI := res.Branch.MPKI(res.Instructions)
+		den := m.Counters.BranchMPKI
+		if den < 1 {
+			den = 1
 		}
-		cfgs = append(cfgs, cfg)
-		idx = append(idx, i)
+		cost += e.Weights.BranchMPKI * math.Abs(simMPKI-m.Counters.BranchMPKI) / den
 	}
-	m := e.Ms[instance]
-	rs, errs := e.Cache.RunBatch(cfgs, m.Trace, simcache.BatchOptions{Lanes: e.Lanes})
-	for j, i := range idx {
-		if errs[j] != nil {
-			out[i] = math.Inf(1)
-			continue
-		}
-		out[i] = e.cost(rs[j], m)
-	}
-	return out
+	return cost
 }
 
 // TuneOptions configures one tuning round.
@@ -271,9 +232,6 @@ type TuneOptions struct {
 	Cache *simcache.Cache
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS).
 	Parallelism int
-	// Lanes caps how many candidates a batched evaluation replays per
-	// column walk (0: simcache.DefaultLanes).
-	Lanes int
 	// Context, when non-nil, cancels the tuning round between race steps.
 	Context context.Context
 	Log     func(format string, args ...any)
@@ -301,7 +259,7 @@ func Tune(base sim.Config, ms []Measurement, opt TuneOptions) (*TuneResult, erro
 	if err != nil {
 		return nil, err
 	}
-	eval := &Evaluator{Base: base, Ms: ms, Weights: opt.Weights, Cache: opt.Cache, Lanes: opt.Lanes}
+	eval := &Evaluator{Base: base, Ms: ms, Weights: opt.Weights, Cache: opt.Cache}
 	tuner, err := irace.New(space, eval, irace.Options{
 		Budget:      opt.Budget,
 		Seed:        opt.Seed,

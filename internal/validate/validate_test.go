@@ -86,40 +86,6 @@ func TestEvaluatorInvalidAssignmentLosesRaces(t *testing.T) {
 	}
 }
 
-// TestCostBatchMatchesCost pins the BatchEvaluator contract on the real
-// evaluator: element i of CostBatch is exactly Cost(as[i], instance),
-// including the +Inf slots of invalid assignments mixed into the batch,
-// and with the branch-MPKI weight exercising the full cost function.
-func TestCostBatchMatchesCost(t *testing.T) {
-	p, err := hw.Firefly()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := measurements(t, p.A53)[:3]
-	e := &Evaluator{Base: sim.PublicA53(), Ms: ms, Weights: CostWeights{BranchMPKI: 0.2}, Lanes: 2}
-
-	base := sim.Extract(sim.PublicA53())
-	varied := sim.Extract(sim.PublicA53())
-	varied["l1d.hit_latency"] = "4"
-	as := []irace.Assignment{
-		base,
-		{"l1d.hit_latency": "nonsense"}, // invalid: must stay +Inf
-		varied,
-	}
-	for inst := range ms {
-		batch := e.CostBatch(as, inst)
-		if len(batch) != len(as) {
-			t.Fatalf("instance %d: %d costs for %d assignments", inst, len(batch), len(as))
-		}
-		for i, a := range as {
-			want := e.Cost(a, inst)
-			if batch[i] != want && !(math.IsInf(batch[i], 1) && math.IsInf(want, 1)) {
-				t.Errorf("instance %d assignment %d: CostBatch %v != Cost %v", inst, i, batch[i], want)
-			}
-		}
-	}
-}
-
 func TestTuneReducesError(t *testing.T) {
 	p, err := hw.Firefly()
 	if err != nil {
