@@ -123,12 +123,11 @@ type bimodal struct {
 	mask uint64
 }
 
-func newBimodal(entries int) *bimodal {
-	b := &bimodal{ctr: make([]uint8, entries), mask: uint64(entries - 1)}
-	for i := range b.ctr {
-		b.ctr[i] = 1 // weakly not-taken
-	}
-	return b
+// reset sizes b to entries weakly-not-taken counters, reusing its storage.
+func (b *bimodal) reset(entries int) {
+	b.ctr, b.mask = resize(b.ctr, entries), uint64(entries-1)
+	b.ctr[0] = 1 // weakly not-taken
+	repeat(b.ctr, 1)
 }
 
 func (b *bimodal) idx(pc uint64) uint64 { return (pc >> 2) & b.mask }
@@ -153,16 +152,16 @@ type gshare struct {
 	histMax uint64
 }
 
-func newGShare(entries, histBits int) *gshare {
-	g := &gshare{
-		ctr:     make([]uint8, entries),
+// reset sizes g to entries counters and empties its history, reusing its
+// storage.
+func (g *gshare) reset(entries, histBits int) {
+	*g = gshare{
+		ctr:     resize(g.ctr, entries),
 		mask:    uint64(entries - 1),
 		histMax: 1<<histBits - 1,
 	}
-	for i := range g.ctr {
-		g.ctr[i] = 1
-	}
-	return g
+	g.ctr[0] = 1 // weakly not-taken
+	repeat(g.ctr, 1)
 }
 
 func (g *gshare) idx(pc uint64) uint64 { return ((pc >> 2) ^ g.hist) & g.mask }
@@ -185,23 +184,19 @@ func (g *gshare) Update(pc uint64, taken bool) {
 // --- tournament ---
 
 type tournament struct {
-	bim     *bimodal
-	gsh     *gshare
+	bim     bimodal
+	gsh     gshare
 	chooser []uint8 // >=2 selects gshare
 	mask    uint64
 }
 
-func newTournament(c Config) *tournament {
-	t := &tournament{
-		bim:     newBimodal(c.BimodalEntries),
-		gsh:     newGShare(c.GShareEntries, c.HistoryBits),
-		chooser: make([]uint8, c.ChooserEntries),
-		mask:    uint64(c.ChooserEntries - 1),
-	}
-	for i := range t.chooser {
-		t.chooser[i] = 2 // weakly prefer gshare
-	}
-	return t
+// reset puts t in its power-on state for c, reusing its storage.
+func (t *tournament) reset(c Config) {
+	t.bim.reset(c.BimodalEntries)
+	t.gsh.reset(c.GShareEntries, c.HistoryBits)
+	t.chooser, t.mask = resize(t.chooser, c.ChooserEntries), uint64(c.ChooserEntries-1)
+	t.chooser[0] = 2 // weakly prefer gshare
+	repeat(t.chooser, 1)
 }
 
 func (t *tournament) Predict(pc uint64) bool {
@@ -224,17 +219,4 @@ func (t *tournament) Update(pc uint64, taken bool) {
 	}
 	t.bim.Update(pc, taken)
 	t.gsh.Update(pc, taken)
-}
-
-func newDirection(c Config) DirectionPredictor {
-	switch c.Kind {
-	case KindBimodal:
-		return newBimodal(c.BimodalEntries)
-	case KindGShare:
-		return newGShare(c.GShareEntries, c.HistoryBits)
-	case KindTournament:
-		return newTournament(c)
-	default:
-		return static{}
-	}
 }

@@ -1,6 +1,8 @@
 package branch
 
 import (
+	"sync"
+
 	"racesim/internal/isa"
 )
 
@@ -14,24 +16,27 @@ type btb struct {
 	lru   []uint8
 }
 
-func newBTB(entries, assoc int) *btb {
+// reset empties b and sizes it to entries/assoc, reusing its storage.
+func (b *btb) reset(entries, assoc int) {
 	sets := entries / assoc
-	b := &btb{
+	*b = btb{
 		sets:  sets,
 		assoc: assoc,
-		tags:  make([]uint64, entries),
-		tgts:  make([]uint64, entries),
-		lru:   make([]uint8, entries),
+		tags:  resize(b.tags, entries),
+		tgts:  resize(b.tgts, entries),
+		lru:   resize(b.lru, entries),
 	}
 	if sets&(sets-1) == 0 {
 		b.mask = uint64(sets - 1)
 	}
+	clear(b.tags)
+	clear(b.tgts)
 	// Recency ranks must form a permutation per set (0 = MRU) for touch to
 	// age the other ways correctly.
-	for i := range b.lru {
-		b.lru[i] = uint8(i % assoc)
+	for w := range assoc {
+		b.lru[w] = uint8(w)
 	}
-	return b
+	repeat(b.lru, assoc)
 }
 
 func (b *btb) set(pc uint64) int {
@@ -92,13 +97,16 @@ type indirect struct {
 	bits int
 }
 
-func newIndirect(entries, histBits int) *indirect {
-	return &indirect{
-		tags: make([]uint64, entries),
-		tgts: make([]uint64, entries),
+// reset empties p and sizes it to entries, reusing its storage.
+func (p *indirect) reset(entries, histBits int) {
+	*p = indirect{
+		tags: resize(p.tags, entries),
+		tgts: resize(p.tgts, entries),
 		mask: uint64(entries - 1),
 		bits: histBits,
 	}
+	clear(p.tags)
+	clear(p.tgts)
 }
 
 func (p *indirect) idx(pc uint64) uint64 {
@@ -130,7 +138,11 @@ type ras struct {
 	size  int
 }
 
-func newRAS(entries int) *ras { return &ras{stack: make([]uint64, max(entries, 1)), size: entries} }
+// reset empties r and sizes it to entries, reusing its storage.
+func (r *ras) reset(entries int) {
+	*r = ras{stack: resize(r.stack, max(entries, 1)), size: entries}
+	clear(r.stack)
+}
 
 func (r *ras) push(addr uint64) {
 	if r.size == 0 {
@@ -183,33 +195,79 @@ type Outcome struct {
 	TargetMiss bool
 }
 
-// Unit is a complete branch prediction unit.
+// Unit is a complete branch prediction unit. It holds the storage of
+// every direction predictor kind, so a recycled unit can change kinds
+// without allocating; dir points at the one in use.
 type Unit struct {
 	cfg       Config
 	dir       DirectionPredictor
 	dirStatic bool // dir is the static predictor (checked per branch otherwise)
-	btb       *btb
-	ind       *indirect
-	ras       *ras
+	bim       bimodal
+	gsh       gshare
+	tour      tournament
+	btb       btb
+	ind       indirect // used only when cfg.IndirectEnabled
+	ras       ras
 	stats     Stats
 }
 
 // NewUnit builds a unit from cfg; cfg must be valid.
 func NewUnit(cfg Config) (*Unit, error) {
-	if err := cfg.Validate(); err != nil {
+	u := new(Unit)
+	if err := u.init(cfg); err != nil {
 		return nil, err
 	}
-	u := &Unit{
-		cfg: cfg,
-		dir: newDirection(cfg),
-		btb: newBTB(cfg.BTBEntries, cfg.BTBAssoc),
-		ras: newRAS(cfg.RASEntries),
+	return u, nil
+}
+
+// unitPool holds released units. Their tables are re-initialised on
+// acquire (counters start nonzero), so they need no clearing on release.
+var unitPool sync.Pool
+
+// AcquireUnit returns a unit in the state NewUnit(cfg) builds, recycling
+// the storage of a released one when there is one.
+func AcquireUnit(cfg Config) (*Unit, error) {
+	u, _ := unitPool.Get().(*Unit)
+	if u == nil {
+		u = new(Unit)
 	}
-	_, u.dirStatic = u.dir.(static)
-	if cfg.IndirectEnabled {
-		u.ind = newIndirect(cfg.IndirectEntries, cfg.IndirectHistory)
+	if err := u.init(cfg); err != nil {
+		return nil, err
 	}
 	return u, nil
+}
+
+// Release returns u to the pool AcquireUnit draws from. u must not be
+// used afterwards.
+func (u *Unit) Release() { unitPool.Put(u) }
+
+// init puts u in the state NewUnit(cfg) builds, reusing u's tables where
+// their capacity suffices.
+func (u *Unit) init(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	u.cfg, u.stats = cfg, Stats{}
+	switch cfg.Kind {
+	case KindBimodal:
+		u.bim.reset(cfg.BimodalEntries)
+		u.dir = &u.bim
+	case KindGShare:
+		u.gsh.reset(cfg.GShareEntries, cfg.HistoryBits)
+		u.dir = &u.gsh
+	case KindTournament:
+		u.tour.reset(cfg)
+		u.dir = &u.tour
+	default:
+		u.dir = static{}
+	}
+	_, u.dirStatic = u.dir.(static)
+	u.btb.reset(cfg.BTBEntries, cfg.BTBAssoc)
+	u.ras.reset(cfg.RASEntries)
+	if cfg.IndirectEnabled {
+		u.ind.reset(cfg.IndirectEntries, cfg.IndirectHistory)
+	}
+	return nil
 }
 
 // Stats returns accumulated statistics.
@@ -275,7 +333,7 @@ func (u *Unit) AccessOutcome(cls isa.Class, op isa.Op, pc, target uint64, taken 
 		u.stats.Indirect++
 		var pred uint64
 		var hit bool
-		if u.ind != nil {
+		if u.cfg.IndirectEnabled {
 			pred, hit = u.ind.lookup(pc)
 			u.ind.update(pc, target)
 		} else {
@@ -291,9 +349,19 @@ func (u *Unit) AccessOutcome(cls isa.Class, op isa.Op, pc, target uint64, taken 
 	return Outcome{}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// repeat copies s[:n] over the rest of s, period n, in log2(len(s)/n)
+// copies rather than one store per element. len(s) is a multiple of n.
+func repeat[T any](s []T, n int) {
+	for n < len(s) {
+		n += copy(s[n:], s[:n])
 	}
-	return b
+}
+
+// resize returns s with length n, re-slicing when its capacity suffices.
+// Callers re-initialise every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -440,3 +440,66 @@ func TestDRAMQueueBound(t *testing.T) {
 		t.Errorf("queueing latency %d exceeded bound %d", maxLat, bound)
 	}
 }
+
+// rankTLB is the rank-based LRU the timestamp TLB replaced: ranks form a
+// permutation (0 = MRU), the victim is the first empty slot, else the
+// highest rank.
+type rankTLB struct {
+	pages []uint64
+	rank  []int
+}
+
+func (r *rankTLB) access(page uint64) bool {
+	page++
+	touch := func(i int) {
+		for j := range r.rank {
+			if r.rank[j] < r.rank[i] {
+				r.rank[j]++
+			}
+		}
+		r.rank[i] = 0
+	}
+	for i := range r.pages {
+		if r.pages[i] == page {
+			touch(i)
+			return true
+		}
+	}
+	victim := 0
+	for i := range r.pages {
+		if r.pages[i] == 0 {
+			victim = i
+			break
+		}
+		if r.rank[i] > r.rank[victim] {
+			victim = i
+		}
+	}
+	r.pages[victim] = page
+	touch(victim)
+	return false
+}
+
+// TestTLBMatchesRankLRU checks that the timestamp TLB hits and misses
+// exactly like rank-based LRU on random page streams, including after
+// reset reuses its storage at a different size.
+func TestTLBMatchesRankLRU(t *testing.T) {
+	rng := uint64(0x9E3779B97F4A7C15)
+	var tl tlb
+	for _, entries := range []int{16, 4, 48, 1, 32} {
+		tl.reset(entries)
+		ref := &rankTLB{pages: make([]uint64, entries), rank: make([]int, entries)}
+		for i := range ref.rank {
+			ref.rank[i] = i
+		}
+		for n := 0; n < 20_000; n++ {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			page := rng % uint64(2*entries+3) // enough reuse to hit, enough spread to evict
+			if got, want := tl.access(page), ref.access(page); got != want {
+				t.Fatalf("%d entries, access %d (page %d): hit = %v, rank LRU says %v", entries, n, page, got, want)
+			}
+		}
+	}
+}

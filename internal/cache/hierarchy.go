@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"racesim/internal/dram"
 )
@@ -56,21 +57,25 @@ func (c HierarchyConfig) Validate() error {
 	return nil
 }
 
-// tlb is a small fully-associative TLB with LRU replacement.
+// tlb is a small fully-associative TLB with LRU replacement. Like Level
+// it keeps a timestamp per entry: a per-TLB tick orders accesses totally,
+// so the least-recently-used entry is the minimum stamp. Eviction order is
+// identical to rank-based LRU (first empty slot, else least recent), but
+// touching is a single store.
 type tlb struct {
-	pages  []uint64
-	lru    []uint8
+	pages  []uint64 // biased page numbers; 0 = empty slot
+	stamp  []uint64 // access stamp per entry (max = MRU)
+	tick   uint64
 	last   uint64 // most recently accessed page (biased); 0 before first access
 	misses uint64
 	hits   uint64
 }
 
-func newTLB(entries int) *tlb {
-	t := &tlb{pages: make([]uint64, entries), lru: make([]uint8, entries)}
-	for i := range t.lru {
-		t.lru[i] = uint8(i)
-	}
-	return t
+// reset empties t and sizes it to entries, reusing its storage.
+func (t *tlb) reset(entries int) {
+	*t = tlb{pages: resize(t.pages, entries), stamp: resize(t.stamp, entries)}
+	clear(t.pages)
+	clear(t.stamp)
 }
 
 func (t *tlb) access(page uint64) bool {
@@ -83,40 +88,25 @@ func (t *tlb) access(page uint64) bool {
 		return true
 	}
 	t.last = page
+	t.tick++
+	// One pass finds a hit or the victim. Empty slots keep stamp 0 and
+	// every filled one has a stamp >= 1, so the first minimum stamp is
+	// the first empty slot, else the least recently used entry.
+	victim := 0
 	for i := range t.pages {
 		if t.pages[i] == page {
-			t.touch(i)
+			t.stamp[i] = t.tick
 			t.hits++
 			return true
 		}
+		if t.stamp[i] < t.stamp[victim] {
+			victim = i
+		}
 	}
 	t.misses++
-	victim := 0
-	for i := range t.pages {
-		if t.pages[i] == 0 {
-			victim = i
-			break
-		}
-		if t.lru[i] > t.lru[victim] {
-			victim = i
-		}
-	}
 	t.pages[victim] = page
-	t.touch(victim)
+	t.stamp[victim] = t.tick
 	return false
-}
-
-func (t *tlb) touch(i int) {
-	old := t.lru[i]
-	if old == 0 {
-		return // already MRU
-	}
-	for j := range t.lru {
-		if t.lru[j] < old {
-			t.lru[j]++
-		}
-	}
-	t.lru[i] = 0
 }
 
 // dramBackend adapts the DRAM model to the Backend interface and applies
@@ -125,7 +115,7 @@ func (t *tlb) touch(i int) {
 // further cold reads without a memory round trip. Writing a page gives it
 // real contents and permanently disqualifies it.
 type dramBackend struct {
-	mem       *dram.DRAM
+	mem       dram.DRAM
 	cfg       *HierarchyConfig
 	pageShift uint
 	written   *pageSet
@@ -174,37 +164,77 @@ type Hierarchy struct {
 
 // NewHierarchy builds the hierarchy; cfg must be valid.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if err := cfg.Validate(); err != nil {
+	h := new(Hierarchy)
+	if err := h.init(cfg); err != nil {
 		return nil, err
 	}
-	mem, err := dram.New(cfg.DRAM)
-	if err != nil {
+	return h, nil
+}
+
+// hierPool holds clean released hierarchies (see Release). A sync.Pool
+// is emptied by the garbage collector, so recycled state never outlives
+// the replays that use it.
+var hierPool sync.Pool
+
+// AcquireHierarchy returns a hierarchy in the state NewHierarchy(cfg)
+// builds, recycling the storage of a released one when there is one.
+// Geometries may differ from the released hierarchy's: arrays whose
+// capacity suffices are re-sliced, others are allocated.
+func AcquireHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
+	h, _ := hierPool.Get().(*Hierarchy)
+	if h == nil {
+		h = new(Hierarchy)
+	}
+	if err := h.init(cfg); err != nil {
 		return nil, err
+	}
+	return h, nil
+}
+
+// Release clears what the hierarchy's run wrote — in proportion to what
+// it touched, not to its capacity — and returns it to the pool that
+// AcquireHierarchy draws from. h must not be used afterwards.
+func (h *Hierarchy) Release() {
+	h.l1i.clean()
+	h.l1d.clean()
+	h.l2.clean()
+	h.mem.written.reset()
+	h.mem.zeroSeen.reset()
+	hierPool.Put(h)
+}
+
+// init puts h in the state NewHierarchy(cfg) builds. h is either zero or
+// released (clean), and its parts are reused.
+func (h *Hierarchy) init(cfg HierarchyConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	shift := uint(0)
 	for 1<<shift < cfg.PageBytes {
 		shift++
 	}
-	h := &Hierarchy{cfg: cfg, pageShift: shift}
-	h.mem = &dramBackend{
-		mem: mem, cfg: &h.cfg, pageShift: shift,
-		written: newPageSet(), zeroSeen: newPageSet(),
+	h.cfg, h.pageShift = cfg, shift
+	if h.mem == nil {
+		h.mem = &dramBackend{cfg: &h.cfg, written: newPageSet(), zeroSeen: newPageSet()}
+		h.l1i, h.l1d, h.l2 = new(Level), new(Level), new(Level)
+		h.itlb, h.dtlb = new(tlb), new(tlb)
 	}
-	h.l2, err = NewLevel(cfg.L2, 2, h.mem)
-	if err != nil {
-		return nil, err
+	if err := h.mem.mem.Reset(cfg.DRAM); err != nil {
+		return err
 	}
-	h.l1d, err = NewLevel(cfg.L1D, 1, h.l2)
-	if err != nil {
-		return nil, err
+	h.mem.pageShift, h.mem.zeroFills = shift, 0
+	if err := h.l2.init(cfg.L2, 2, h.mem); err != nil {
+		return err
 	}
-	h.l1i, err = NewLevel(cfg.L1I, 1, h.l2)
-	if err != nil {
-		return nil, err
+	if err := h.l1d.init(cfg.L1D, 1, h.l2); err != nil {
+		return err
 	}
-	h.itlb = newTLB(cfg.ITLBEntries)
-	h.dtlb = newTLB(cfg.DTLBEntries)
-	return h, nil
+	if err := h.l1i.init(cfg.L1I, 1, h.l2); err != nil {
+		return err
+	}
+	h.itlb.reset(cfg.ITLBEntries)
+	h.dtlb.reset(cfg.DTLBEntries)
+	return nil
 }
 
 // Load services a data load at cycle now.

@@ -118,10 +118,12 @@ type Level struct {
 	lruTick   uint64
 	fill      []uint16 // valid lines per set (monotone: lines never invalidate)
 	plru      []uint32
+	touched   []int32 // sets with fill > 0, in first-fill order (see clean)
 	rng       uint64
 
 	victim     []line
 	victimLRU  []uint8
+	pfs        prefetch.Bank // storage behind pf, kept across recycling
 	pf         prefetch.Prefetcher
 	pfNone     bool // disabled prefetcher: skip training entirely
 	next       Backend
@@ -134,44 +136,84 @@ type Level struct {
 // NewLevel builds a cache level; cfg must be valid. levelID is its depth
 // (1 = closest to the core).
 func NewLevel(cfg Config, levelID int, next Backend) (*Level, error) {
-	if err := cfg.Validate(); err != nil {
+	l := new(Level)
+	if err := l.init(cfg, levelID, next); err != nil {
 		return nil, err
+	}
+	return l, nil
+}
+
+// init puts l in the state NewLevel(cfg, levelID, next) builds. l is
+// either zero or clean (see clean): its arrays are all-zero over their
+// whole capacity, so re-slicing them to the new geometry needs no
+// clearing, whatever geometry they served before.
+func (l *Level) init(cfg Config, levelID int, next Backend) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if next == nil {
-		return nil, fmt.Errorf("cache %s: nil backend", cfg.Name)
+		return fmt.Errorf("cache %s: nil backend", cfg.Name)
 	}
-	pf, err := prefetch.New(cfg.Prefetch, cfg.LineSize)
+	pf, err := l.pfs.Reset(cfg.Prefetch, cfg.LineSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	l := &Level{
-		cfg:      cfg,
-		levelID:  levelID,
-		sets:     cfg.Sets(),
-		setMask:  uint64(cfg.Sets() - 1),
-		assoc:    cfg.Assoc,
-		hitLat:   uint64(cfg.HitLatency),
-		lineBits: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		lines:    make([]line, cfg.Sets()*cfg.Assoc),
-		lru:      make([]uint64, cfg.Sets()*cfg.Assoc),
-		fill:     make([]uint16, cfg.Sets()),
-		plru:     make([]uint32, cfg.Sets()),
-		rng:      0x9E3779B97F4A7C15,
-		victim:   make([]line, cfg.VictimEntries),
-		pf:       pf,
-		pfNone:   cfg.Prefetch.Kind == prefetch.KindNone,
-		next:     next,
+	sets := cfg.Sets()
+	*l = Level{
+		cfg:       cfg,
+		levelID:   levelID,
+		sets:      sets,
+		setMask:   uint64(sets - 1),
+		assoc:     cfg.Assoc,
+		hitLat:    uint64(cfg.HitLatency),
+		lineBits:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		lines:     resize(l.lines, sets*cfg.Assoc),
+		lru:       resize(l.lru, sets*cfg.Assoc),
+		fill:      resize(l.fill, sets),
+		plru:      resize(l.plru, sets),
+		touched:   l.touched[:0],
+		rng:       0x9E3779B97F4A7C15,
+		victim:    resize(l.victim, cfg.VictimEntries),
+		victimLRU: resize(l.victimLRU, cfg.VictimEntries),
+		pfs:       l.pfs,
+		pf:        pf,
+		pfNone:    cfg.Prefetch.Kind == prefetch.KindNone,
+		next:      next,
 	}
 	if cfg.TagDataSerial {
 		l.hitLat++
 	}
-	if cfg.VictimEntries > 0 {
-		l.victimLRU = make([]uint8, cfg.VictimEntries)
-		for i := range l.victimLRU {
-			l.victimLRU[i] = uint8(i)
-		}
+	for i := range l.victimLRU {
+		l.victimLRU[i] = uint8(i)
 	}
-	return l, nil
+	return nil
+}
+
+// clean zeroes everything a run wrote to l's arrays, restoring the
+// all-zero state init relies on. Main-array lines are never invalidated
+// and fill a set's ways in order, so the touched sets and their fill
+// counts name exactly the lines and LRU stamps written: the cost is
+// proportional to what the run touched, not to the level's capacity.
+func (l *Level) clean() {
+	for _, set := range l.touched {
+		base := int(set) * l.assoc
+		// A set holds a few lines: a plain loop beats a clear call.
+		for w := base; w < base+int(l.fill[set]); w++ {
+			l.lines[w], l.lru[w] = 0, 0
+		}
+		l.fill[set] = 0
+		l.plru[set] = 0
+	}
+	l.touched = l.touched[:0]
+	clear(l.victim)
+}
+
+// resize returns s with length n, re-slicing when its capacity suffices.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Stats returns accumulated counters.
@@ -362,6 +404,9 @@ func (l *Level) insert(now uint64, pc uint64, block uint64, dirty, prefetched bo
 		}
 		l.victimInsert(old)
 	} else {
+		if l.fill[set] == 0 {
+			l.touched = append(l.touched, int32(set))
+		}
 		l.fill[set]++
 	}
 	l.lines[base+way] = newLine(block, dirty, prefetched)
@@ -475,8 +520,9 @@ func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) {
 	if len(targets) == 0 {
 		return
 	}
+	// targets is the prefetcher's own buffer; the guard keeps this
+	// level from calling Observe again while it is being read.
 	l.inPrefetch = true
-	defer func() { l.inPrefetch = false }()
 	for _, t := range targets {
 		tb := l.block(t)
 		if _, _, ok := l.lookup(tb); ok {
@@ -486,4 +532,5 @@ func (l *Level) runPrefetcher(now uint64, pc, block uint64, miss bool) {
 		l.next.BackAccess(now, pc, t, false, true)
 		l.insert(now, pc, tb, false, true)
 	}
+	l.inPrefetch = false
 }

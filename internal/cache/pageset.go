@@ -16,6 +16,7 @@ type pageSet struct {
 	lastKey uint64
 	last    *pageSetChunk
 	chunks  map[uint64]*pageSetChunk
+	spare   []*pageSetChunk // zeroed chunks kept by reset for reuse
 }
 
 func newPageSet() *pageSet {
@@ -44,11 +45,27 @@ func (s *pageSet) Add(page uint64) {
 	if key != s.lastKey {
 		c = s.chunks[key]
 		if c == nil {
-			c = new(pageSetChunk)
+			if n := len(s.spare); n > 0 {
+				c = s.spare[n-1]
+				s.spare = s.spare[:n-1]
+			} else {
+				c = new(pageSetChunk)
+			}
 			s.chunks[key] = c
 		}
 		s.lastKey, s.last = key, c
 	}
 	bit := page % pageSetChunkPages
 	c[bit/64] |= 1 << (bit % 64)
+}
+
+// reset empties the set, zeroing the chunks it used and keeping them for
+// later Adds, so the cost is proportional to the chunks touched.
+func (s *pageSet) reset() {
+	for _, c := range s.chunks {
+		*c = pageSetChunk{}
+		s.spare = append(s.spare, c)
+	}
+	clear(s.chunks)
+	s.lastKey, s.last = ^uint64(0), nil
 }

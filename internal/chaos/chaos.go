@@ -97,7 +97,7 @@ func Parse(s string) (Spec, error) {
 		case "delay":
 			spec.Delay, err = parseProb(k, v)
 		case "delaymax":
-			spec.DelayMax, err = time.ParseDuration(v)
+			spec.DelayMax, err = parseDuration(v)
 		case "fail":
 			spec.Fail, err = parseProb(k, v)
 		case "truncate":
@@ -109,7 +109,7 @@ func Parse(s string) (Spec, error) {
 		case "stall":
 			spec.StallJob, err = parseCount(k, v)
 		case "stallfor":
-			spec.StallFor, err = time.ParseDuration(v)
+			spec.StallFor, err = parseDuration(v)
 		case "poison":
 			spec.PoisonDelta, err = parseCount(k, v)
 		default:
@@ -127,10 +127,23 @@ func parseProb(k, v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("probability %g outside [0,1]", p)
 	}
 	return p, nil
+}
+
+// parseDuration reads a non-negative duration: a negative one would mean
+// no delay, which String renders by omitting the key.
+func parseDuration(v string) (time.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("duration %v is negative", d)
+	}
+	return d, nil
 }
 
 func parseCount(k, v string) (int, error) {

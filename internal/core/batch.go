@@ -37,7 +37,8 @@ type InOrderBatch struct {
 	lanes []inOrderLane
 }
 
-// NewInOrderBatch builds one lane per config; every config must be valid.
+// NewInOrderBatch builds one lane per config over recycled lane storage;
+// every config must be valid. Release returns the storage.
 func NewInOrderBatch(cfgs []InOrderConfig) (*InOrderBatch, error) {
 	b := &InOrderBatch{
 		st:    make([]inOrderStatic, len(cfgs)),
@@ -47,7 +48,7 @@ func NewInOrderBatch(cfgs []InOrderConfig) (*InOrderBatch, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		lane, err := newInOrderLane(cfg)
+		lane, err := newInOrderLane(cfg, true)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +113,8 @@ type OoOBatch struct {
 	lanes []oooLane
 }
 
-// NewOoOBatch builds one lane per config; every config must be valid.
+// NewOoOBatch builds one lane per config over recycled lane storage;
+// every config must be valid. Release returns the storage.
 func NewOoOBatch(cfgs []OoOConfig) (*OoOBatch, error) {
 	b := &OoOBatch{
 		st:    make([]oooStatic, len(cfgs)),
@@ -122,7 +124,7 @@ func NewOoOBatch(cfgs []OoOConfig) (*OoOBatch, error) {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		lane, err := newOoOLane(cfg)
+		lane, err := newOoOLane(cfg, true)
 		if err != nil {
 			return nil, err
 		}
@@ -130,6 +132,21 @@ func NewOoOBatch(cfgs []OoOConfig) (*OoOBatch, error) {
 		b.lanes[i] = lane
 	}
 	return b, nil
+}
+
+// Release returns every lane's storage for reuse by later batches. The
+// Results RunDecoded returned stay valid; b must not be used afterwards.
+func (b *InOrderBatch) Release() {
+	for l := range b.lanes {
+		b.lanes[l].release()
+	}
+}
+
+// Release returns every lane's storage; see InOrderBatch.Release.
+func (b *OoOBatch) Release() {
+	for l := range b.lanes {
+		b.lanes[l].release()
+	}
 }
 
 // RunDecoded walks d's columns once, stepping every lane per event; see

@@ -10,8 +10,8 @@ import "racesim/internal/isa"
 // switching; classes outside every group (nop) get a nil pipe slice.
 //
 // contention is a value type embedded in per-lane state; its pipe slices
-// are owned by exactly one lane and must not be shared by copying a lane
-// after construction.
+// are carved from the lane's words, owned by exactly one lane, and must
+// not be shared by copying a lane after construction.
 type contention struct {
 	pipes [isa.NumClasses][]uint64
 	ii    [isa.NumClasses]uint64
@@ -20,10 +20,11 @@ type contention struct {
 	stalls uint64
 }
 
-func newContention(p PipesConfig, lat LatencyConfig) contention {
+// newContention carves p.total() zeroed pipe words from w.
+func newContention(p PipesConfig, lat LatencyConfig, w *carver) contention {
 	var c contention
 	group := func(n int, ii int, classes ...isa.Class) {
-		pipes := make([]uint64, n)
+		pipes := w.take(n)
 		for _, cls := range classes {
 			c.pipes[cls] = pipes
 			c.ii[cls] = uint64(ii)
@@ -38,6 +39,11 @@ func newContention(p PipesConfig, lat LatencyConfig) contention {
 	group(p.Store, 1, isa.ClassStore)
 	group(p.Branch, 1, isa.ClassBranch, isa.ClassBranchInd, isa.ClassCall, isa.ClassRet)
 	return c
+}
+
+// total returns the number of pipes across every class group.
+func (p PipesConfig) total() int {
+	return p.IntALU + p.IntMul + p.IntDiv + p.FP + p.FPDiv + p.Load + p.Store + p.Branch
 }
 
 func bestPipe(pipes []uint64) int {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"racesim/internal/branch"
-	"racesim/internal/cache"
 	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
@@ -53,8 +51,7 @@ func newInOrderStatic(cfg InOrderConfig) inOrderStatic {
 // scoreboard, pipeline occupancy, cache hierarchy, branch unit and queue
 // rings. A batch holds a dense slice of lanes and steps them in lockstep.
 type inOrderLane struct {
-	hier *cache.Hierarchy
-	bu   *branch.Unit
+	laneParts
 	cont contention
 
 	regReady [isa.NumRegs]uint64
@@ -74,21 +71,19 @@ type inOrderLane struct {
 	res      Result
 }
 
-func newInOrderLane(cfg InOrderConfig) (inOrderLane, error) {
-	hier, err := cache.NewHierarchy(cfg.Mem)
+// newInOrderLane builds a lane for cfg over recycled storage when recycle
+// is set (see laneParts).
+func newInOrderLane(cfg InOrderConfig, recycle bool) (inOrderLane, error) {
+	p, err := newLaneParts(cfg.Mem, cfg.Branch, cfg.MSHRs+cfg.StoreBufferEntries+cfg.Pipes.total(), recycle)
 	if err != nil {
 		return inOrderLane{}, err
 	}
-	bu, err := branch.NewUnit(cfg.Branch)
-	if err != nil {
-		return inOrderLane{}, err
-	}
+	w := carver(p.words.w)
 	return inOrderLane{
-		hier:          hier,
-		bu:            bu,
-		cont:          newContention(cfg.Pipes, cfg.Lat),
-		mshr:          newSeqRing(cfg.MSHRs),
-		sb:            newSeqRing(cfg.StoreBufferEntries),
+		laneParts:     p,
+		cont:          newContention(cfg.Pipes, cfg.Lat, &w),
+		mshr:          seqRing{done: w.take(cfg.MSHRs)},
+		sb:            seqRing{done: w.take(cfg.StoreBufferEntries)},
 		lastFetchLine: ^uint64(0),
 	}, nil
 }
@@ -112,8 +107,6 @@ type seqRing struct {
 	idx  int
 	full bool // count of allocations has reached capacity
 }
-
-func newSeqRing(capacity int) seqRing { return seqRing{done: make([]uint64, capacity)} }
 
 // wait returns how long an allocation at cycle t must stall for a slot.
 func (r *seqRing) wait(t uint64) uint64 {
@@ -141,7 +134,7 @@ func NewInOrder(cfg InOrderConfig) (*InOrder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lane, err := newInOrderLane(cfg)
+	lane, err := newInOrderLane(cfg, false)
 	if err != nil {
 		return nil, err
 	}

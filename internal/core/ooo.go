@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"racesim/internal/branch"
-	"racesim/internal/cache"
 	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
@@ -44,8 +42,7 @@ func newOoOStatic(cfg OoOConfig) oooStatic {
 
 // oooLane is the per-config mutable state of one out-of-order replay.
 type oooLane struct {
-	hier *cache.Hierarchy
-	bu   *branch.Unit
+	laneParts
 	cont contention
 
 	regReady [isa.NumRegs]uint64
@@ -74,24 +71,23 @@ type oooLane struct {
 	res      Result
 }
 
-func newOoOLane(cfg OoOConfig) (oooLane, error) {
-	hier, err := cache.NewHierarchy(cfg.Mem)
+// newOoOLane builds a lane for cfg over recycled storage when recycle is
+// set (see laneParts).
+func newOoOLane(cfg OoOConfig, recycle bool) (oooLane, error) {
+	words := cfg.ROBEntries + cfg.IQEntries + cfg.LQEntries + cfg.SQEntries + cfg.MSHRs + cfg.Pipes.total()
+	p, err := newLaneParts(cfg.Mem, cfg.Branch, words, recycle)
 	if err != nil {
 		return oooLane{}, err
 	}
-	bu, err := branch.NewUnit(cfg.Branch)
-	if err != nil {
-		return oooLane{}, err
-	}
+	w := carver(p.words.w)
 	return oooLane{
-		hier:          hier,
-		bu:            bu,
-		cont:          newContention(cfg.Pipes, cfg.Lat),
-		rob:           make([]uint64, cfg.ROBEntries),
-		iq:            make([]uint64, cfg.IQEntries),
-		lq:            make([]uint64, cfg.LQEntries),
-		sq:            make([]uint64, cfg.SQEntries),
-		mshr:          newSeqRing(cfg.MSHRs),
+		laneParts:     p,
+		cont:          newContention(cfg.Pipes, cfg.Lat, &w),
+		rob:           w.take(cfg.ROBEntries),
+		iq:            w.take(cfg.IQEntries),
+		lq:            w.take(cfg.LQEntries),
+		sq:            w.take(cfg.SQEntries),
+		mshr:          seqRing{done: w.take(cfg.MSHRs)},
 		lastFetchLine: ^uint64(0),
 	}, nil
 }
@@ -112,7 +108,7 @@ func NewOoO(cfg OoOConfig) (*OoO, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	lane, err := newOoOLane(cfg)
+	lane, err := newOoOLane(cfg, false)
 	if err != nil {
 		return nil, err
 	}

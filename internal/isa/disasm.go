@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -81,14 +82,18 @@ func (in *Inst) Disassemble() string {
 func DisassembleProgram(p *Program) (string, error) {
 	var b strings.Builder
 	var d Decoder
-	// Invert the symbol table for label annotations.
-	labels := map[uint64]string{}
+	// Invert the symbol table for label annotations. Several names may
+	// share an address; each is printed, in sorted order, so the listing
+	// does not depend on map iteration order.
+	labels := map[uint64][]string{}
 	for name, addr := range p.Symbols {
-		labels[addr] = name
+		labels[addr] = append(labels[addr], name)
 	}
 	for i, w := range p.Code {
 		pc := p.Entry + uint64(i)*InstSize
-		if name, ok := labels[pc]; ok {
+		names := labels[pc]
+		slices.Sort(names)
+		for _, name := range names {
 			fmt.Fprintf(&b, "%s:\n", name)
 		}
 		in, err := d.Decode(pc, w)

@@ -64,6 +64,27 @@ func TestDisassembleProgramListsLabels(t *testing.T) {
 	}
 }
 
+// TestDisassembleProgramSharedAddress gives two symbols one PC: the
+// listing must print both, sorted, every time (map iteration order is
+// random, so repeat the render).
+func TestDisassembleProgramSharedAddress(t *testing.T) {
+	p := &Program{
+		Entry:   0x1000,
+		Code:    []uint32{EncNOP(), EncHALT()},
+		Symbols: map[string]uint64{"zeta": 0x1004, "alpha": 0x1004, "main": 0x1000},
+	}
+	want := "main:\n  0x00001000: nop\nalpha:\nzeta:\n  0x00001004: halt\n"
+	for i := 0; i < 20; i++ {
+		out, err := DisassembleProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != want {
+			t.Fatalf("listing:\n%s\nwant:\n%s", out, want)
+		}
+	}
+}
+
 func TestDisassembleInvalidWord(t *testing.T) {
 	if _, err := Disassemble(0, uint32(NumOps)<<26); err == nil {
 		t.Error("invalid word disassembled without error")

@@ -70,12 +70,32 @@ func (c Config) Validate() error {
 type Prefetcher interface {
 	// Observe is called for each demand access with the line-aligned
 	// address, the PC of the load/store, and whether the access missed.
-	// It returns line addresses to prefetch (possibly none).
+	// It returns line addresses to prefetch (possibly none). The slice is
+	// a buffer the prefetcher owns: it is valid only until the next
+	// Observe call, and Observe never allocates.
 	Observe(pc, lineAddr uint64, miss bool) []uint64
 }
 
 // New builds a prefetcher; cfg must be valid. lineSize is in bytes.
 func New(cfg Config, lineSize int) (Prefetcher, error) {
+	return new(Bank).Reset(cfg, lineSize)
+}
+
+// Bank holds at most one prefetcher of each kind, so a recycled cache
+// level can switch prefetcher kinds between runs without allocating. The
+// zero value is an empty bank.
+type Bank struct {
+	nextLine *nextLine
+	stride   *stride
+	ghb      *ghb
+	spatial  *spatial
+}
+
+// Reset returns the bank's prefetcher for cfg in the state New(cfg,
+// lineSize) builds, reusing that kind's tables where their capacity
+// suffices. A prefetcher an earlier Reset returned must no longer be used
+// once Reset hands out the same kind again.
+func (b *Bank) Reset(cfg Config, lineSize int) (Prefetcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -84,15 +104,40 @@ func New(cfg Config, lineSize int) (Prefetcher, error) {
 	case KindNone:
 		return nonePf{}, nil
 	case KindNextLine:
-		return &nextLine{cfg: cfg, line: ls}, nil
+		b.nextLine = ensure(b.nextLine)
+		b.nextLine.reset(cfg, ls)
+		return b.nextLine, nil
 	case KindStride:
-		return newStride(cfg, ls), nil
+		b.stride = ensure(b.stride)
+		b.stride.reset(cfg, ls)
+		return b.stride, nil
 	case KindGHB:
-		return newGHB(cfg, ls), nil
+		b.ghb = ensure(b.ghb)
+		b.ghb.reset(cfg, ls)
+		return b.ghb, nil
 	case KindSpatial:
-		return newSpatial(cfg, ls), nil
+		b.spatial = ensure(b.spatial)
+		b.spatial.reset(cfg, ls)
+		return b.spatial, nil
 	}
 	return nil, fmt.Errorf("prefetch: unreachable kind %q", cfg.Kind)
+}
+
+// ensure returns p, or a new zero T when p is nil.
+func ensure[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
+
+// resize returns s with length n, re-slicing when its capacity suffices.
+// Callers re-initialise every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 type nonePf struct{}
@@ -103,13 +148,19 @@ func (nonePf) Observe(_, _ uint64, _ bool) []uint64 { return nil }
 type nextLine struct {
 	cfg  Config
 	line uint64
+	out  []uint64 // Observe's result buffer
+}
+
+func (p *nextLine) reset(cfg Config, line uint64) {
+	p.cfg, p.line = cfg, line
+	p.out = resize(p.out, cfg.Degree)[:0]
 }
 
 func (p *nextLine) Observe(_, lineAddr uint64, miss bool) []uint64 {
 	if !miss && !p.cfg.OnHit {
 		return nil
 	}
-	out := make([]uint64, 0, p.cfg.Degree)
+	out := p.out[:0]
 	for d := 1; d <= p.cfg.Degree; d++ {
 		out = append(out, lineAddr+uint64(p.cfg.Distance+d-1)*p.line)
 	}
@@ -126,15 +177,19 @@ type stride struct {
 	last []uint64
 	strd []int64
 	conf []uint8
+	out  []uint64 // Observe's result buffer
 }
 
-func newStride(cfg Config, line uint64) *stride {
+func (p *stride) reset(cfg Config, line uint64) {
 	n := cfg.TableEntries
-	return &stride{
-		cfg: cfg, line: line, mask: uint64(n - 1),
-		tags: make([]uint64, n), last: make([]uint64, n),
-		strd: make([]int64, n), conf: make([]uint8, n),
-	}
+	p.cfg, p.line, p.mask = cfg, line, uint64(n-1)
+	p.tags, p.last = resize(p.tags, n), resize(p.last, n)
+	p.strd, p.conf = resize(p.strd, n), resize(p.conf, n)
+	clear(p.tags)
+	clear(p.last)
+	clear(p.strd)
+	clear(p.conf)
+	p.out = resize(p.out, cfg.Degree)[:0]
 }
 
 func (p *stride) Observe(pc, lineAddr uint64, miss bool) []uint64 {
@@ -168,7 +223,7 @@ func (p *stride) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	if p.conf[i] < 2 {
 		return nil
 	}
-	out := make([]uint64, 0, p.cfg.Degree)
+	out := p.out[:0]
 	for d := 0; d < p.cfg.Degree; d++ {
 		a := int64(lineAddr) + s*int64(p.cfg.Distance+d)
 		if a > 0 {
@@ -188,36 +243,35 @@ type ghb struct {
 	bufAddr []uint64
 	bufPrev []int // previous slot for same PC chain (-1 none)
 	head    int
-	filled  bool
+	out     []uint64 // Observe's result buffer
 }
 
-func newGHB(cfg Config, line uint64) *ghb {
-	g := &ghb{
-		cfg: cfg, line: line, mask: uint64(cfg.TableEntries - 1),
-		index:   make([]int, cfg.TableEntries),
-		bufAddr: make([]uint64, cfg.GHBEntries),
-		bufPrev: make([]int, cfg.GHBEntries),
-	}
+func (g *ghb) reset(cfg Config, line uint64) {
+	g.cfg, g.line, g.mask = cfg, line, uint64(cfg.TableEntries-1)
+	g.index = resize(g.index, cfg.TableEntries)
+	g.bufAddr = resize(g.bufAddr, cfg.GHBEntries)
+	g.bufPrev = resize(g.bufPrev, cfg.GHBEntries)
 	for i := range g.index {
 		g.index[i] = -1
 	}
+	clear(g.bufAddr)
 	for i := range g.bufPrev {
 		g.bufPrev[i] = -1
 	}
-	return g
+	g.head = 0
+	g.out = resize(g.out, cfg.Degree)[:0]
 }
 
-// chain walks the per-PC linked list through the GHB, newest first,
-// returning up to n line addresses.
-func (g *ghb) chain(slot, n int) []uint64 {
-	var out []uint64
-	age := 0
-	for slot >= 0 && len(out) < n && age < g.cfg.GHBEntries {
-		out = append(out, g.bufAddr[slot])
+// chain walks the per-PC linked list through the GHB, newest first, into
+// hist, and returns how many line addresses it found.
+func (g *ghb) chain(slot int, hist *[3]uint64) int {
+	n := 0
+	for slot >= 0 && n < len(hist) && n < g.cfg.GHBEntries {
+		hist[n] = g.bufAddr[slot]
 		slot = g.bufPrev[slot]
-		age++
+		n++
 	}
-	return out
+	return n
 }
 
 func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
@@ -234,8 +288,8 @@ func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	g.bufPrev[slot] = prev
 	g.index[i] = slot
 
-	hist := g.chain(slot, 3)
-	if len(hist) < 3 {
+	var hist [3]uint64
+	if g.chain(slot, &hist) < len(hist) {
 		return nil
 	}
 	d1 := int64(hist[0]) - int64(hist[1])
@@ -243,7 +297,7 @@ func (g *ghb) Observe(pc, lineAddr uint64, miss bool) []uint64 {
 	if d1 != d2 || d1 == 0 {
 		return nil
 	}
-	out := make([]uint64, 0, g.cfg.Degree)
+	out := g.out[:0]
 	for d := 0; d < g.cfg.Degree; d++ {
 		a := int64(lineAddr) + d1*int64(g.cfg.Distance+d)
 		if a > 0 {
@@ -271,10 +325,21 @@ type spatial struct {
 	// would not be).
 	order [spatialRegions]uint64
 	next  int
+	out   []uint64 // Observe's result buffer
 }
 
-func newSpatial(cfg Config, line uint64) *spatial {
-	return &spatial{cfg: cfg, line: line, recent: make(map[uint64]uint64)}
+// reset empties the region map, keeping its storage. order needs no
+// clearing: a slot is read only once the ring has wrapped, so every slot
+// read was written by the current run.
+func (p *spatial) reset(cfg Config, line uint64) {
+	p.cfg, p.line = cfg, line
+	if p.recent == nil {
+		// Sized for the bound up front, so Observe never grows it.
+		p.recent = make(map[uint64]uint64, spatialRegions)
+	}
+	clear(p.recent)
+	p.next = 0
+	p.out = resize(p.out, 2*cfg.Degree)[:0]
 }
 
 func (p *spatial) Observe(_, lineAddr uint64, miss bool) []uint64 {
@@ -298,7 +363,7 @@ func (p *spatial) Observe(_, lineAddr uint64, miss bool) []uint64 {
 	if lineAddr < last {
 		dir = -dir
 	}
-	out := make([]uint64, 0, p.cfg.Degree*2)
+	out := p.out[:0]
 	for d := 1; d <= p.cfg.Degree*2; d++ {
 		a := int64(lineAddr) + dir*int64(d)
 		if a > 0 && uint64(a)>>12 == region {

@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -137,11 +138,12 @@ func TestSpatialEvictionDeterministic(t *testing.T) {
 	drive := func() [][]uint64 {
 		p := mk(t, Config{Kind: KindSpatial, Degree: 2, Distance: 1})
 		var out [][]uint64
+		// Observe's result is valid only until the next call: keep copies.
 		for r := uint64(1); r <= regions; r++ {
-			out = append(out, p.Observe(0, r<<12, true))
+			out = append(out, slices.Clone(p.Observe(0, r<<12, true)))
 		}
 		for r := uint64(regions); r >= 1; r-- {
-			out = append(out, p.Observe(0, r<<12+0x80, true))
+			out = append(out, slices.Clone(p.Observe(0, r<<12+0x80, true)))
 		}
 		return out
 	}
@@ -179,6 +181,52 @@ func TestPrefetcherNeverReturnsZeroAddress(t *testing.T) {
 					t.Errorf("%s produced non-positive address %#x", cfg.Kind, a)
 				}
 			}
+		}
+	}
+}
+
+// observeStream drives p with a deterministic mix of strided, repeating
+// and scattered accesses over several PCs and returns a copy of every
+// result.
+func observeStream(p Prefetcher) [][]uint64 {
+	var out [][]uint64
+	rng := uint64(12345)
+	for i := 0; i < 6000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		pc := 0x400 + (rng%5)*4
+		addr := uint64(i%7)*0x1040 + uint64(i/7)*64*(pc%3+1)
+		if i%11 == 0 {
+			addr = (rng % (1 << 24)) &^ 63 // scattered: new regions, new deltas
+		}
+		out = append(out, slices.Clone(p.Observe(pc, addr, rng&3 != 0)))
+	}
+	return out
+}
+
+// TestBankResetMatchesNew reuses one Bank across every kind and several
+// table sizes, in an order that shrinks and regrows each table, and
+// requires each reset prefetcher to observe exactly like a fresh one. It
+// also checks that Observe does not allocate.
+func TestBankResetMatchesNew(t *testing.T) {
+	var cfgs []Config
+	for _, entries := range []int{64, 16, 256} {
+		for _, kind := range []Kind{KindNextLine, KindStride, KindGHB, KindSpatial, KindNone} {
+			cfgs = append(cfgs, Config{Kind: kind, Degree: entries / 16, Distance: 2, TableEntries: entries, GHBEntries: entries / 2, OnHit: entries == 16})
+		}
+	}
+	var b Bank
+	for _, cfg := range cfgs {
+		p, err := b.Reset(cfg, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := observeStream(p), observeStream(mk(t, cfg)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: reset bank prefetcher differs from a new one", cfg)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { p.Observe(0x400, 0x8000, true) }); allocs != 0 {
+			t.Errorf("%s: Observe allocates %v times per call", cfg.Kind, allocs)
 		}
 	}
 }

@@ -39,7 +39,10 @@ func Behaviors(d *trace.Decoded) []core.Behavior {
 // — batching changes throughput, never results. Configs may mix core
 // kinds (each kind walks once); every config must share d's decoder
 // variant. Traces that declare WarmData disable the zero-fill page
-// optimization per lane, as in the sequential path.
+// optimization per lane, as in the sequential path. Lane storage comes
+// from pools and goes back to them when the walk is done, so after
+// warm-up a replay allocates almost nothing (docs/performance.md, "Lane
+// recycling").
 func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 	if len(configs) == 0 {
 		return nil, nil
@@ -71,6 +74,7 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 			return nil, err
 		}
 		rs, err := b.RunDecoded(d, behav)
+		b.Release()
 		if err != nil {
 			return nil, err
 		}
@@ -84,6 +88,7 @@ func RunBatch(configs []Config, d *trace.Decoded) ([]core.Result, error) {
 			return nil, err
 		}
 		rs, err := b.RunDecoded(d, behav)
+		b.Release()
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"reflect"
 	"sort"
+	"strings"
 
 	"racesim/internal/core"
 )
@@ -142,9 +143,11 @@ func decodeResult(data []byte) (core.Result, error) {
 }
 
 // packKey compresses a key for storage: "hex64:hex64" keys (the shape
-// every real cache key has) pack to 64 raw bytes.
+// every real cache key has) pack to 64 raw bytes. Only lower-case hex
+// packs, because unpackKey renders lower case: any other key stays raw so
+// it decodes to itself.
 func packKey(key string) (form byte, payload []byte) {
-	if len(key) == 129 && key[64] == ':' {
+	if len(key) == 129 && key[64] == ':' && strings.ToLower(key) == key {
 		fp, err1 := hex.DecodeString(key[:64])
 		dg, err2 := hex.DecodeString(key[65:])
 		if err1 == nil && err2 == nil {

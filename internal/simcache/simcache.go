@@ -49,6 +49,42 @@ func Key(cfg sim.Config, tr *trace.Trace) string {
 	return cfg.Fingerprint() + ":" + tr.Digest()
 }
 
+// fpMemoSize is how many recent configurations a Cache remembers the
+// fingerprint of. Fan-outs look one configuration up against every trace
+// of a suite in a row, so a handful of slots covers the concurrent ones.
+const fpMemoSize = 8
+
+// fpMemo remembers the fingerprints of the last few configurations, so a
+// fan-out pays the canonical-JSON marshal and SHA-256 once per
+// configuration instead of once per trace. Keys are unchanged: a hit
+// returns exactly what Fingerprint computed for an equal configuration.
+type fpMemo struct {
+	mu   sync.Mutex
+	cfgs [fpMemoSize]sim.Config
+	fps  [fpMemoSize]string // "" marks an empty slot
+	next int                // slot the next new fingerprint replaces
+}
+
+// key returns Key(cfg, tr), memoizing cfg's fingerprint.
+func (m *fpMemo) key(cfg sim.Config, tr *trace.Trace) string {
+	cfg.Name = "" // Fingerprint ignores the name, so the memo does too
+	m.mu.Lock()
+	for i := range m.fps {
+		if m.fps[i] != "" && m.cfgs[i] == cfg {
+			fp := m.fps[i]
+			m.mu.Unlock()
+			return fp + ":" + tr.Digest()
+		}
+	}
+	m.mu.Unlock()
+	fp := cfg.Fingerprint()
+	m.mu.Lock()
+	m.cfgs[m.next], m.fps[m.next] = cfg, fp
+	m.next = (m.next + 1) % fpMemoSize
+	m.mu.Unlock()
+	return fp + ":" + tr.Digest()
+}
+
 // Stats is a point-in-time snapshot of cache effectiveness. The JSON
 // field names are part of the serve HTTP API (job results, /healthz).
 type Stats struct {
@@ -125,6 +161,7 @@ type Cache struct {
 	remoteHt uint64
 	rejected uint64
 	evicted  uint64
+	fps      fpMemo
 }
 
 // New returns an empty in-memory cache.
@@ -246,7 +283,7 @@ func (c *Cache) Run(cfg sim.Config, tr *trace.Trace) (core.Result, error) {
 	if c == nil {
 		return cfg.Run(tr)
 	}
-	key := Key(cfg, tr)
+	key := c.fps.key(cfg, tr)
 
 	c.mu.Lock()
 	if ce, ok := c.entries[key]; ok {
@@ -315,7 +352,7 @@ func (c *Cache) Get(cfg sim.Config, tr *trace.Trace) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false
 	}
-	key := Key(cfg, tr)
+	key := c.fps.key(cfg, tr)
 	c.mu.Lock()
 	if ce, ok := c.entries[key]; ok {
 		c.touchLocked(ce)

@@ -220,3 +220,31 @@ func TestPoisonedEntryRejectedByChecksum(t *testing.T) {
 		t.Error("re-simulated result differs from the original")
 	}
 }
+
+// TestFingerprintMemoKeepsKeys checks that the per-cache fingerprint memo
+// yields exactly Key's bytes: for repeats, for renamed copies, for more
+// configurations than the memo holds, and after a slot is recycled.
+func TestFingerprintMemoKeepsKeys(t *testing.T) {
+	var m fpMemo
+	tr := testTrace(t, "MD")
+	var cfgs []sim.Config
+	for i := 0; i < 2*fpMemoSize+3; i++ {
+		cfg := sim.PublicA53()
+		if i%2 == 1 {
+			cfg = sim.PublicA72()
+		}
+		cfg.MSHRs = 1 + i/2
+		cfgs = append(cfgs, cfg)
+	}
+	for round := 0; round < 2; round++ {
+		for _, cfg := range cfgs {
+			for rep := 0; rep < 3; rep++ {
+				renamed := cfg
+				renamed.Name = "tuned-" + strconv.Itoa(rep)
+				if got, want := m.key(renamed, tr), Key(cfg, tr); got != want {
+					t.Fatalf("memo key %s, want %s", got, want)
+				}
+			}
+		}
+	}
+}

@@ -186,3 +186,24 @@ func BenchmarkSweepBatchedLanes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRunSmallTrace measures one simulation of a 1,000-event trace
+// (smallTrace), the size the perturbation study replays at benchmark
+// scale, where setting a lane up weighs as much as replaying it. The
+// allocation columns show what a warmed-up simulation allocates.
+func BenchmarkRunSmallTrace(b *testing.B) {
+	tr := smallTrace(b)
+	for _, cfg := range []sim.Config{sim.PublicA53(), sim.PublicA72()} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			tr.Decoded(cfg.DecoderDepBug) // decode outside the measured region
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cfg.Run(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(tr.Len()))
+		})
+	}
+}
