@@ -79,6 +79,10 @@ func MustAssemble(src string) *isa.Program {
 	return p
 }
 
+// maxDataBytes bounds the initialized data one program may declare, so
+// a hostile or mistyped .space cannot exhaust memory.
+const maxDataBytes = 64 << 20
+
 type assembler struct {
 	consts  map[string]int64
 	symbols map[string]uint64
@@ -182,9 +186,10 @@ func instWords(mnem string) int {
 // layout performs pass 1: assign addresses to labels.
 func (a *assembler) layout(stmts []statement) error {
 	inData := false
-	var codeCursor, dataCursor uint64
+	var codeCursor, dataCursor, dataBytes uint64
 	codeStarted := false
 	for _, st := range stmts {
+		var size uint64 // data bytes the statement emits
 		switch {
 		case st.label != "":
 			addr := codeCursor
@@ -229,17 +234,23 @@ func (a *assembler) layout(stmts []statement) error {
 				inData = true
 				dataCursor = uint64(v[0])
 			case ".quad":
-				dataCursor += 8
+				size = 8
 			case ".word":
-				dataCursor += 4
+				size = 4
 			case ".byte":
-				dataCursor++
+				size = 1
 			case ".space":
+				if len(st.args) < 1 || len(st.args) > 2 {
+					return &Error{st.line, ".space N [, fill]"}
+				}
 				v, err := a.evalExpr(st.args[0], st.line)
 				if err != nil {
 					return err
 				}
-				dataCursor += uint64(v)
+				if v < 0 || v > maxDataBytes {
+					return &Error{st.line, fmt.Sprintf(".space %d out of [0, %d]", v, maxDataBytes)}
+				}
+				size = uint64(v)
 			default:
 				return &Error{st.line, fmt.Sprintf("unknown directive %s", st.mnem)}
 			}
@@ -252,6 +263,10 @@ func (a *assembler) layout(stmts []statement) error {
 				codeStarted = true
 			}
 			codeCursor += uint64(instWords(st.mnem)) * isa.InstSize
+		}
+		dataCursor += size
+		if dataBytes += size; dataBytes > maxDataBytes {
+			return &Error{st.line, fmt.Sprintf("more than %d bytes of data", maxDataBytes)}
 		}
 	}
 	return nil

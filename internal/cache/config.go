@@ -54,9 +54,9 @@ type Config struct {
 	Hash HashKind
 	Repl ReplKind
 
-	// MSHRs bounds the number of overlapping outstanding misses the level
-	// supports; the out-of-order core uses it to cap memory-level
-	// parallelism.
+	// MSHRs is validated but never read by the timing model: both cores
+	// bound outstanding misses with sim.Config.MSHRs. Simulation-cache
+	// keys ignore it (sim.Config.Fingerprint).
 	MSHRs int
 	// Ports is the number of accesses accepted per cycle.
 	Ports int

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -249,5 +250,44 @@ func TestExecutePreCancelledRunsNothing(t *testing.T) {
 	}
 	if res.Artifact != "" {
 		t.Errorf("pre-cancelled job produced output: %q", res.Artifact)
+	}
+}
+
+// workLine is the stderr summary of a job's synthesis and board work.
+var workLine = regexp.MustCompile(`(?m)^synthesis: [0-9]+ emulated, [0-9]+ reused; board: [0-9]+ simulated, [0-9]+ reused$`)
+
+// TestJobsReportWorkOnStderr: experiments and validate jobs report their
+// synthesis and board-measurement reuse on stderr, never in the
+// artifact, and quiet jobs do not report it at all.
+func TestJobsReportWorkOnStderr(t *testing.T) {
+	jobs := []Job{
+		{Kind: KindExperiments, Experiments: &ExperimentsJob{Scenario: "table1,table2", Scale: 0.0005, Events: 1000}},
+	}
+	if !testing.Short() {
+		jobs = append(jobs, Job{Kind: KindValidate, Validate: &ValidateJob{Core: "a53", Budget1: 40, Budget2: 40, Scale: 0.0005}})
+	}
+	for _, job := range jobs {
+		loud, err := Execute(job, Options{Capture: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !workLine.MatchString(loud.Log) {
+			t.Errorf("%s: stderr has no work line:\n%s", job.Kind, loud.Log)
+		}
+		if strings.Contains(loud.Artifact, "synthesis:") {
+			t.Errorf("%s: the work line reached the artifact", job.Kind)
+		}
+		if job.Experiments != nil {
+			job.Experiments.Quiet = true
+		} else {
+			job.Validate.Quiet = true
+		}
+		quiet, err := Execute(job, Options{Capture: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(quiet.Log, "synthesis:") {
+			t.Errorf("%s: a quiet job printed the work line:\n%s", job.Kind, quiet.Log)
+		}
 	}
 }

@@ -124,6 +124,7 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 	}
 
 	rejectedBefore := e.cache.Stats().Rejected
+	var work expt.Work
 	results, err := scenario.Run(units, scenario.RunOptions{
 		Expt: expt.Options{
 			UbenchScale:    scale,
@@ -140,6 +141,7 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 		Checkpoint:      j.Resume,
 		CheckpointEvery: ckEvery,
 		Log:             logf,
+		Work:            &work,
 	})
 	if err != nil {
 		return err
@@ -169,6 +171,7 @@ func (e *env) experimentsJob(j *ExperimentsJob) error {
 	st := e.cache.Stats()
 	e.eprintf("cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate), %d entries\n",
 		st.Hits, st.Misses, st.Shared, st.HitRate()*100, st.Entries)
+	logf("%s", work)
 	return nil
 }
 

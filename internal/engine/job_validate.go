@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 
+	"racesim/internal/expt"
 	"racesim/internal/hw"
 	"racesim/internal/report"
 	"racesim/internal/sim"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 )
@@ -63,12 +65,16 @@ func (e *env) validateJob(j *ValidateJob) error {
 	if err := e.loadSnapshot("validate", logf); err != nil {
 		return err
 	}
+	// The job's trace memo: the raw and initialized suites share the
+	// programs they have in common, and it is released with the job.
+	memo := tracememo.New(0, 0)
 	stages, err := validate.Pipeline(board, public, validate.PipelineOptions{
 		BudgetRound1: budget1,
 		BudgetRound2: budget2,
 		Seed:         j.Seed,
 		UbenchScale:  scale,
 		Cache:        e.cache,
+		Traces:       memo,
 		Parallelism:  e.par,
 		Context:      e.ctx,
 		Log:          logf,
@@ -134,6 +140,9 @@ func (e *env) validateJob(j *ValidateJob) error {
 	st := e.cache.Stats()
 	e.eprintf("cache: %d hits, %d misses, %d shared in-flight (%.1f%% hit rate), %d entries\n",
 		st.Hits, st.Misses, st.Shared, st.HitRate()*100, st.Entries)
+	if !j.Quiet {
+		e.eprintf("%s\n", expt.Work{Traces: memo.Stats(), Boards: board.Stats()})
+	}
 	if err := e.saveSnapshot(logf); err != nil {
 		return err
 	}

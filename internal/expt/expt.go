@@ -11,6 +11,7 @@ import (
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/trace"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 	"racesim/internal/validate"
 	"racesim/internal/workload"
@@ -63,11 +64,15 @@ func (o Options) withDefaults() Options {
 
 // Context caches the expensive artifacts (boards, tuned models, workload
 // measurements) across experiments and owns the Runner every experiment
-// submits its simulation units to.
+// submits its simulation units to. It also owns the job's trace memo:
+// every trace the job synthesizes (micro-benchmarks, lmbench chases,
+// Table II workloads) goes through it, so each distinct trace is built
+// once per Context and released with it.
 type Context struct {
 	opts   Options
 	plat   *hw.Platform
 	runner *Runner
+	memo   *tracememo.Memo
 
 	a53Stages []validate.StageResult
 	a72Stages []validate.StageResult
@@ -88,8 +93,42 @@ func NewContext(opts Options) (*Context, error) {
 	return &Context{
 		opts: o, plat: plat,
 		runner: NewRunner(o.Cache, o.Parallelism).WithContext(o.Context),
+		memo:   tracememo.New(0, 0),
 		ms:     map[*hw.Board][]validate.Measurement{},
 	}, nil
+}
+
+// Work counts what a job synthesized and measured, and how much of it
+// the job's memos answered from earlier work. It goes to stderr beside
+// the cache statistics, never into rendered output.
+type Work struct {
+	Traces tracememo.Stats
+	Boards hw.MeasureStats
+}
+
+// String is the stderr summary line.
+func (w Work) String() string {
+	return fmt.Sprintf("synthesis: %d emulated, %d reused; board: %d simulated, %d reused",
+		w.Traces.Misses, w.Traces.Hits, w.Boards.Simulated, w.Boards.Reused)
+}
+
+// Work reports the context's synthesis and board-measurement counts:
+// the reference boards plus any other board the suite was measured on
+// (a noise sweep's re-noised boards).
+func (c *Context) Work() Work {
+	w := Work{Traces: c.memo.Stats()}
+	boards := []*hw.Board{c.plat.A53, c.plat.A72}
+	for b := range c.ms {
+		if b != c.plat.A53 && b != c.plat.A72 {
+			boards = append(boards, b)
+		}
+	}
+	for _, b := range boards {
+		st := b.Stats()
+		w.Boards.Simulated += st.Simulated
+		w.Boards.Reused += st.Reused
+	}
+	return w
 }
 
 // Platform exposes the reference boards.
@@ -112,7 +151,7 @@ func (c *Context) Measurements(board *hw.Board) ([]validate.Measurement, error) 
 	if ms, ok := c.ms[board]; ok {
 		return ms, nil
 	}
-	ms, err := validate.MeasureSuiteParallel(board, ubench.Options{Scale: c.opts.UbenchScale}, c.runner.Parallelism())
+	ms, err := validate.MeasureSuiteParallel(board, ubench.Options{Scale: c.opts.UbenchScale}, c.runner.Parallelism(), c.memo)
 	if err != nil {
 		return nil, err
 	}
@@ -131,6 +170,7 @@ func (c *Context) StagesA53() ([]validate.StageResult, error) {
 		Seed:         c.opts.Seed,
 		UbenchScale:  c.opts.UbenchScale,
 		Cache:        c.runner.Cache(),
+		Traces:       c.memo,
 		Parallelism:  c.runner.Parallelism(),
 		Context:      c.opts.Context,
 		Log:          c.opts.Log,
@@ -153,6 +193,7 @@ func (c *Context) StagesA72() ([]validate.StageResult, error) {
 		Seed:         c.opts.Seed + 100,
 		UbenchScale:  c.opts.UbenchScale,
 		Cache:        c.runner.Cache(),
+		Traces:       c.memo,
 		Parallelism:  c.runner.Parallelism(),
 		Context:      c.opts.Context,
 		Log:          c.opts.Log,
@@ -176,7 +217,7 @@ func (c *Context) Spec(board *hw.Board) ([]perturb.Workload, error) {
 	profiles := workload.Profiles()
 	trs := make([]*trace.Trace, len(profiles))
 	err := c.runner.forEach(len(profiles), func(i int) error {
-		tr, err := workload.Generate(profiles[i], workload.Options{Events: c.opts.WorkloadEvents, Seed: c.opts.Seed})
+		tr, err := c.workloadTrace(profiles[i])
 		if err != nil {
 			return err
 		}
@@ -196,6 +237,15 @@ func (c *Context) Spec(board *hw.Board) ([]perturb.Workload, error) {
 	}
 	*cached = out
 	return out, nil
+}
+
+// workloadTrace synthesizes one Table II workload through the job's
+// trace memo: Table II and both boards' Spec share one trace each.
+func (c *Context) workloadTrace(p workload.Profile) (*trace.Trace, error) {
+	key := fmt.Sprintf("workload\x00%s\x00events=%d\x00seed=%d", p.Name, c.opts.WorkloadEvents, c.opts.Seed)
+	return c.memo.Get(key, func() (*trace.Trace, error) {
+		return workload.Generate(p, workload.Options{Events: c.opts.WorkloadEvents, Seed: c.opts.Seed})
+	})
 }
 
 // Table1 regenerates Table I: the micro-benchmark suite and its dynamic
@@ -220,7 +270,7 @@ func (c *Context) Table1() (Experiment, error) {
 	// Trace generation (emulation) dominates this table; fan it out and
 	// assemble rows in suite order.
 	err := c.runner.forEach(len(rows), func(i int) error {
-		tr, err := rows[i].bench.Trace(opts)
+		tr, err := rows[i].bench.TraceWith(opts, c.memo)
 		if err != nil {
 			return err
 		}
@@ -252,7 +302,7 @@ func (c *Context) Table2() (Experiment, error) {
 	profiles := workload.Profiles()
 	lens := make([]int, len(profiles))
 	err := c.runner.forEach(len(profiles), func(i int) error {
-		tr, err := workload.Generate(profiles[i], workload.Options{Events: c.opts.WorkloadEvents, Seed: c.opts.Seed})
+		tr, err := c.workloadTrace(profiles[i])
 		if err != nil {
 			return err
 		}

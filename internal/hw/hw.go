@@ -16,6 +16,8 @@ package hw
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
+	"sync/atomic"
 
 	"racesim/internal/branch"
 	"racesim/internal/cache"
@@ -38,13 +40,40 @@ type Counters struct {
 	L1IMPKI      float64
 }
 
-// Board is one core of the reference platform.
+// Board is one core of the reference platform. A board simulates each
+// distinct trace content once: Measure memoizes the timing run by trace
+// digest for the board's lifetime, and boards are built per job
+// (Firefly, NewBoard), so the memo is scoped to the job that built it.
 type Board struct {
 	Name    string
 	FreqGHz float64
 
 	cfg   sim.Config
 	noise float64 // relative measurement-noise amplitude
+
+	mu        sync.Mutex
+	runs      map[string]*run // by trace digest
+	simulated atomic.Uint64
+	reused    atomic.Uint64
+}
+
+// run is one memoized timing run; once makes it single-flight.
+type run struct {
+	once sync.Once
+	res  core.Result
+	err  error
+}
+
+// MeasureStats counts a board's timing runs: Simulated ran the model,
+// Reused answered a Measure from an earlier run of the same content.
+type MeasureStats struct {
+	Simulated uint64
+	Reused    uint64
+}
+
+// Stats snapshots the board's measurement counters.
+func (b *Board) Stats() MeasureStats {
+	return MeasureStats{Simulated: b.simulated.Load(), Reused: b.reused.Load()}
 }
 
 // NewBoard wraps a configuration as a measurable board. noise is the
@@ -79,9 +108,39 @@ func (b *Board) noiseFactor(tr *trace.Trace) float64 {
 	return 1 + b.noise*u
 }
 
+// simulate returns the board's timing run of tr's content, running the
+// model only for the first Measure of each digest; concurrent Measures
+// of one digest wait for that run.
+func (b *Board) simulate(tr *trace.Trace) (core.Result, error) {
+	key := tr.Digest()
+	b.mu.Lock()
+	r, ok := b.runs[key]
+	if !ok {
+		if b.runs == nil {
+			b.runs = map[string]*run{}
+		}
+		r = new(run)
+		b.runs[key] = r
+	}
+	b.mu.Unlock()
+	ran := false
+	r.once.Do(func() {
+		ran = true
+		r.res, r.err = b.cfg.Run(tr)
+	})
+	if ran {
+		b.simulated.Add(1)
+	} else {
+		b.reused.Add(1)
+	}
+	return r.res, r.err
+}
+
 // Measure runs tr on the board and returns its performance counters.
+// The timing run is memoized by content; the pseudo-noise is applied on
+// every call, since it depends on the trace's name as well.
 func (b *Board) Measure(tr *trace.Trace) (Counters, error) {
-	res, err := b.cfg.Run(tr)
+	res, err := b.simulate(tr)
 	if err != nil {
 		return Counters{}, fmt.Errorf("hw: %s: %w", b.Name, err)
 	}

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"sync"
 	"testing"
 
 	"racesim/internal/prefetch"
@@ -187,5 +188,72 @@ func TestWarmDataDisablesZeroFillOnBoard(t *testing.T) {
 	}
 	if warmC.CPI <= cold.CPI {
 		t.Errorf("warm-data CPI %.2f should exceed zero-filled cold CPI %.2f", warmC.CPI, cold.CPI)
+	}
+}
+
+// TestMeasureSimulatesEachContentOnce: a board runs its timing model once
+// per trace content, even under concurrent Measures, yet two traces with
+// equal content and different names still draw their own noise.
+func TestMeasureSimulatesEachContentOnce(t *testing.T) {
+	b, _ := ubench.ByName("MD")
+	tr, err := b.Trace(ubench.Options{Scale: 0.002})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := &trace.Trace{Name: "MD-twin", Events: tr.Events, WarmData: tr.WarmData}
+	if twin.Digest() != tr.Digest() {
+		t.Fatal("twin trace content differs")
+	}
+
+	board, err := NewBoard("memo", 1.5, TrueA53(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	var wg sync.WaitGroup
+	got := make([]Counters, n)
+	errs := make([]error, n)
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = board.Measure(tr)
+		}()
+	}
+	wg.Wait()
+	for i := range n {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != got[0] {
+			t.Fatalf("concurrent measure %d = %+v, want %+v", i, got[i], got[0])
+		}
+	}
+	twinC, err := board.Measure(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := board.Stats(); st.Simulated != 1 || st.Reused != n {
+		t.Errorf("stats = %+v, want 1 simulated and %d reused", st, n)
+	}
+	if twinC.Cycles == got[0].Cycles {
+		t.Error("equal content under another name drew the same noise")
+	}
+
+	// The memo never changes what a measurement reports: a fresh board
+	// measuring the twin alone agrees.
+	fresh, err := NewBoard("memo", 1.5, TrueA53(), 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := fresh.Measure(twin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone != twinC {
+		t.Errorf("memoized twin %+v, fresh board %+v", twinC, alone)
+	}
+	if st := fresh.Stats(); st.Simulated != 1 || st.Reused != 0 {
+		t.Errorf("fresh board stats = %+v, want 1 simulated, 0 reused", st)
 	}
 }

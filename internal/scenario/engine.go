@@ -97,6 +97,9 @@ type RunOptions struct {
 	CheckpointEvery time.Duration
 	// Log receives progress lines (never rendered output).
 	Log func(format string, args ...any)
+	// Work, when non-nil, receives the sweep's synthesis and board
+	// measurement counts when Run succeeds.
+	Work *expt.Work
 }
 
 // UnitResult pairs a unit with its rendered experiment.
@@ -226,6 +229,9 @@ func Run(units []Unit, opts RunOptions) ([]UnitResult, error) {
 			return nil, fmt.Errorf("scenario: save %s: %w", opts.CachePath, err)
 		}
 		log("scenario: cache: saved %d entries to %s", cache.Stats().Entries, opts.CachePath)
+	}
+	if opts.Work != nil {
+		*opts.Work = ctx.Work()
 	}
 	return results, nil
 }

@@ -15,6 +15,7 @@ import (
 	"racesim/internal/branch"
 	"racesim/internal/cache"
 	"racesim/internal/core"
+	"racesim/internal/prefetch"
 	"racesim/internal/trace"
 )
 
@@ -144,13 +145,12 @@ func (c Config) RunDecoded(d *trace.Decoded) (core.Result, error) {
 }
 
 // Fingerprint returns a stable hex digest of the configuration's canonical
-// JSON form. Two configurations that simulate identically (same kind and
-// parameter values, regardless of Name) share a fingerprint; it is the
-// config half of the simulation-cache key (see internal/simcache).
+// JSON form (see canonical). Two configurations that simulate identically
+// because they differ only in Name or in fields the model never reads
+// share a fingerprint; it is the config half of the simulation-cache key
+// (see internal/simcache).
 func (c Config) Fingerprint() string {
-	canon := c
-	canon.Name = "" // cosmetic only: tuned copies must hit the same entry
-	data, err := json.Marshal(canon)
+	data, err := json.Marshal(c.canonical())
 	if err != nil {
 		// Config is a tree of plain value fields; Marshal cannot fail on
 		// it. Guard anyway so a future field type cannot poison the cache
@@ -159,6 +159,60 @@ func (c Config) Fingerprint() string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// canonical returns c without its cosmetic Name and, when c is valid,
+// with every field the timing model never reads zeroed:
+//
+//   - cache.Config.MSHRs at every level (the cores bound outstanding
+//     misses with Config.MSHRs);
+//   - prefetcher fields the configured Kind does not use;
+//   - branch-predictor tables the direction Kind does not build;
+//   - the indirect predictor's geometry while it is disabled.
+//
+// An invalid configuration keeps every field, so it never shares a
+// fingerprint (or an in-flight simulation slot) with a valid one.
+func (c Config) canonical() Config {
+	c.Name = "" // cosmetic only: tuned copies must hit the same entry
+	if c.Validate() != nil {
+		return c
+	}
+	for _, l := range []*cache.Config{&c.Mem.L1I, &c.Mem.L1D, &c.Mem.L2} {
+		l.MSHRs = 0
+		l.Prefetch = canonicalPrefetch(l.Prefetch)
+	}
+	c.Branch = canonicalBranch(c.Branch)
+	return c
+}
+
+// canonicalPrefetch zeroes the fields p's Kind never reads.
+func canonicalPrefetch(p prefetch.Config) prefetch.Config {
+	switch p.Kind {
+	case prefetch.KindNone:
+		return prefetch.Config{Kind: prefetch.KindNone}
+	case prefetch.KindNextLine:
+		p.TableEntries, p.GHBEntries = 0, 0
+	case prefetch.KindStride:
+		p.GHBEntries = 0
+	}
+	return p
+}
+
+// canonicalBranch zeroes the predictor tables b's Kind does not build
+// and the indirect geometry when indirect prediction is off.
+func canonicalBranch(b branch.Config) branch.Config {
+	switch b.Kind {
+	case branch.KindStatic:
+		b.BimodalEntries, b.GShareEntries, b.HistoryBits, b.ChooserEntries = 0, 0, 0, 0
+	case branch.KindBimodal:
+		b.GShareEntries, b.HistoryBits, b.ChooserEntries = 0, 0, 0
+	case branch.KindGShare:
+		b.BimodalEntries, b.ChooserEntries = 0, 0
+	}
+	if !b.IndirectEnabled {
+		b.IndirectEntries, b.IndirectHistory = 0, 0
+	}
+	return b
 }
 
 // MarshalJSONFile writes the configuration to path as indented JSON.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"racesim/internal/isa"
@@ -27,7 +28,9 @@ import (
 //	  target svarint   delta from own PC (if bit2)
 //
 // Deltas keep straight-line code and strided access patterns to a couple of
-// bytes per instruction.
+// bytes per instruction. Bits 0 and 2 follow from the decoded instruction
+// word (see shape); a reader rejects events whose flags disagree, so every
+// accepted stream writes back to an equal trace.
 
 const magic = "RIFT"
 const version = 2
@@ -96,12 +99,18 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// shape reports which optional fields an event carries in the file: a
+// memory address for memory instructions, a target for branches. Words
+// that do not decode carry neither.
+func shape(dec *isa.Decoder, pc uint64, word uint32) (hasMem, isBranch bool) {
+	in, err := dec.Decode(pc, word)
+	return err == nil && in.Cls.IsMem(), err == nil && in.Cls.IsBranch()
+}
+
 func (w *Writer) writeEvent(ev Event) error {
 	var flags byte
 	var dec isa.Decoder
-	in, err := dec.Decode(ev.PC, ev.Word)
-	hasMem := err == nil && in.Cls.IsMem()
-	isBranch := err == nil && in.Cls.IsBranch()
+	hasMem, isBranch := shape(&dec, ev.PC, ev.Word)
 	if hasMem {
 		flags |= 1
 	}
@@ -166,8 +175,11 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, ErrFormat
 	}
-	t := &Trace{Name: string(name), WarmData: flags&1 != 0, Events: make([]Event, 0, count)}
+	// The count is untrusted: preallocate at most what a short file
+	// could plausibly hold and let append grow past it.
+	t := &Trace{Name: string(name), WarmData: flags&1 != 0, Events: make([]Event, 0, min(count, 1<<16))}
 	var prevPC, prevMem uint64
+	var dec isa.Decoder
 	for i := uint64(0); i < count; i++ {
 		flags, err := br.ReadByte()
 		if err != nil {
@@ -180,8 +192,12 @@ func ReadFrom(r io.Reader) (*Trace, error) {
 		pc := uint64(int64(prevPC+isa.InstSize) + dpc)
 		prevPC = pc
 		word, err := binary.ReadUvarint(br)
-		if err != nil {
+		if err != nil || word > math.MaxUint32 {
 			return nil, ErrFormat
+		}
+		hasMem, isBranch := shape(&dec, pc, uint32(word))
+		if flags&^7 != 0 || (flags&1 != 0) != hasMem || (flags&4 != 0) != isBranch {
+			return nil, fmt.Errorf("%w: event %d flags %#x disagree with its instruction", ErrFormat, i, flags)
 		}
 		ev := Event{PC: pc, Word: uint32(word), Taken: flags&2 != 0}
 		if flags&1 != 0 {

@@ -18,13 +18,23 @@
 //
 // A nil *Memo is valid and memoizes nothing (every Get generates), so
 // batch callers that run one job per process pay zero overhead.
+//
+// Batch jobs own one unbounded memo each (an experiments Context, a
+// validate job): within the job every distinct trace is synthesized
+// once, and the memo is garbage with the job, so nothing carries over
+// to the next job in the same process.
 package tracememo
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"strconv"
 	"sync"
 	"time"
 
+	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
 
@@ -57,7 +67,8 @@ type flight struct {
 	err  error
 }
 
-// Stats reports memo effectiveness.
+// Stats reports memo effectiveness. Hits counts every Get answered
+// without generating, including waits on an identical in-flight Get.
 type Stats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -114,6 +125,7 @@ func (m *Memo) Get(key string, generate func() (*trace.Trace, error)) (*trace.Tr
 		}
 	}
 	if fl, ok := m.inflight[key]; ok {
+		m.hits++
 		m.mu.Unlock()
 		<-fl.done
 		return fl.tr, fl.err
@@ -138,6 +150,44 @@ func (m *Memo) Get(key string, generate func() (*trace.Trace, error)) (*trace.Tr
 	m.mu.Unlock()
 	close(fl.done)
 	return tr, err
+}
+
+// Record is trace.Record(name, prog, maxInst) through the memo. It keys
+// the recording by what emulation reads — the program's entry point,
+// code words and data segments, plus the name and instruction cap — not
+// by how the program was generated, so generators that emit equal
+// programs (a micro-benchmark that ignores an option, say) share one
+// emulation. Symbols are diagnostics only and stay out of the key.
+func (m *Memo) Record(name string, prog *isa.Program, maxInst uint64) (*trace.Trace, error) {
+	if m == nil {
+		return trace.Record(name, prog, maxInst)
+	}
+	key := "record\x00" + name + "\x00" + strconv.FormatUint(maxInst, 10) + "\x00" + programDigest(prog)
+	return m.Get(key, func() (*trace.Trace, error) {
+		return trace.Record(name, prog, maxInst)
+	})
+}
+
+// programDigest is a hex SHA-256 of everything the emulator reads from
+// prog: the entry point, the code words and the initialized data
+// segments in order.
+func programDigest(prog *isa.Program) string {
+	h := sha256.New()
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[:8], prog.Entry)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(len(prog.Code)))
+	h.Write(buf[:])
+	for _, w := range prog.Code {
+		binary.LittleEndian.PutUint32(buf[:4], w)
+		h.Write(buf[:4])
+	}
+	for _, seg := range prog.Data {
+		binary.LittleEndian.PutUint64(buf[:8], seg.Addr)
+		binary.LittleEndian.PutUint64(buf[8:], uint64(len(seg.Data)))
+		h.Write(buf[:])
+		h.Write(seg.Data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // evictLocked drops least-recently-used entries until within budget. The

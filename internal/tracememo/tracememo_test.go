@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"racesim/internal/asm"
+	"racesim/internal/isa"
 	"racesim/internal/trace"
 )
 
@@ -140,5 +142,67 @@ func TestConcurrentGetSingleflight(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatal("concurrent Gets received different trace pointers")
 		}
+	}
+}
+
+// TestRecordKeysByProgramContent: Record shares one emulation between
+// programs that differ only in their diagnostic symbols, but not across
+// names, instruction caps or code.
+func TestRecordKeysByProgramContent(t *testing.T) {
+	src := ".org 0x1000\nla x1, 50\n%s:\nsubi x1, x1, #1\ncbnz x1, %s\nhalt\n"
+	prog := func(label string) *isa.Program {
+		p, err := asm.Assemble(fmt.Sprintf(src, label, label))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	m := New(0, 0)
+	a, err := m.Record("loop", prog("one"), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Record("loop", prog("two"), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Error("programs differing only in label names were emulated twice")
+	}
+	other, err := m.Record("loop2", prog("one"), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := m.Record("loop", prog("one"), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == a || other.Name != "loop2" || capped == a || capped.Len() != 10 {
+		t.Error("a different name or instruction cap shared an emulation")
+	}
+	withData := prog("one")
+	withData.Data = []isa.Segment{{Addr: 0x2000, Data: []byte{1}}}
+	data1, err := m.Record("loop", withData, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withData.Data[0].Data[0] = 2
+	data2, err := m.Record("loop", withData, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data1 == a || data2 == data1 {
+		t.Error("programs with different data segments shared an emulation")
+	}
+	if st := m.Stats(); st.Misses != 5 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 5 misses and 1 hit", st)
+	}
+	var nilMemo *Memo
+	direct, err := nilMemo.Record("loop", prog("one"), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Digest() != a.Digest() {
+		t.Error("the memo changed what was recorded")
 	}
 }

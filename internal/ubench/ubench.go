@@ -13,6 +13,7 @@ import (
 	"racesim/internal/asm"
 	"racesim/internal/isa"
 	"racesim/internal/trace"
+	"racesim/internal/tracememo"
 )
 
 // Category groups benchmarks by the component they stress.
@@ -92,12 +93,20 @@ func (b Bench) Program(o Options) (*isa.Program, error) {
 
 // Trace generates, runs and records the benchmark.
 func (b Bench) Trace(o Options) (*trace.Trace, error) {
+	return b.TraceWith(o, nil)
+}
+
+// TraceWith is Trace through a job's trace memo (nil: no memo). The memo
+// keys the recording by the assembled program, so option sets that
+// generate the same program — InitArrays on a benchmark that never reads
+// uninitialized memory — share one emulation and one *trace.Trace.
+func (b Bench) TraceWith(o Options, memo *tracememo.Memo) (*trace.Trace, error) {
 	p, err := b.Program(o)
 	if err != nil {
 		return nil, err
 	}
 	// Allow generous headroom over the target for setup/init loops.
-	tr, err := trace.Record(b.Name, p, 4*b.Target(o)+1_000_000)
+	tr, err := memo.Record(b.Name, p, 4*b.Target(o)+1_000_000)
 	if err != nil {
 		return nil, fmt.Errorf("ubench %s: %w", b.Name, err)
 	}

@@ -54,7 +54,7 @@ func TestReportRenderDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := MeasureSuiteParallel(p.A53, ubench.Options{Scale: 0.002}, 4)
+	ms, err := MeasureSuiteParallel(p.A53, ubench.Options{Scale: 0.002}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

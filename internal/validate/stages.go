@@ -7,6 +7,7 @@ import (
 	"racesim/internal/hw"
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 )
 
@@ -65,6 +66,11 @@ type PipelineOptions struct {
 	// Cache, when non-nil, memoizes every simulation of the pipeline
 	// (tuning races and per-stage error evaluations).
 	Cache *simcache.Cache
+	// Traces, when non-nil, is the job's trace memo: the raw and
+	// initialized suites and the lmbench chases are recorded through it,
+	// so programs they share (and other users of the same memo) emulate
+	// once.
+	Traces *tracememo.Memo
 	// Parallelism bounds concurrent simulations (<=0: GOMAXPROCS).
 	Parallelism int
 	// Context, when non-nil, cancels the pipeline: checked between stages
@@ -115,7 +121,7 @@ func Pipeline(board *hw.Board, public sim.Config, opt PipelineOptions) ([]StageR
 	o := opt.withDefaults()
 
 	// Stage 1: untuned public model on raw (uninitialized-array) traces.
-	rawMs, err := MeasureSuiteParallel(board, ubench.Options{Scale: o.UbenchScale}, o.Parallelism)
+	rawMs, err := MeasureSuiteParallel(board, ubench.Options{Scale: o.UbenchScale}, o.Parallelism, o.Traces)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +172,11 @@ func Pipeline(board *hw.Board, public sim.Config, opt PipelineOptions) ([]StageR
 	}
 	fixedBase := round1.Tuned
 	fixedBase.DecoderDepBug = false
-	fixedBase, err = SeedLatencies(fixedBase, board)
+	fixedBase, err = SeedLatencies(fixedBase, board, o.Traces)
 	if err != nil {
 		return nil, err
 	}
-	initMs, err := MeasureSuiteParallel(board, ubench.Options{Scale: o.UbenchScale, InitArrays: true}, o.Parallelism)
+	initMs, err := MeasureSuiteParallel(board, ubench.Options{Scale: o.UbenchScale, InitArrays: true}, o.Parallelism, o.Traces)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ import (
 	"racesim/internal/sim"
 	"racesim/internal/simcache"
 	"racesim/internal/trace"
+	"racesim/internal/tracememo"
 	"racesim/internal/ubench"
 )
 
@@ -32,18 +33,21 @@ type Measurement struct {
 // MeasureSuite records every micro-benchmark once and measures it on the
 // board — the one-time data collection of methodology step 4.
 func MeasureSuite(board *hw.Board, opts ubench.Options) ([]Measurement, error) {
-	return MeasureSuiteParallel(board, opts, 1)
+	return MeasureSuiteParallel(board, opts, 1, nil)
 }
 
-// MeasureSuiteParallel is MeasureSuite over a bounded worker pool. Trace
-// generation and board measurement are both deterministic per benchmark,
-// so the result is identical to the sequential path, in suite order.
-func MeasureSuiteParallel(board *hw.Board, opts ubench.Options, parallelism int) ([]Measurement, error) {
+// MeasureSuiteParallel is MeasureSuite over a bounded worker pool, with
+// traces recorded through a job's memo (nil: no memo), so a job that
+// measures the suite on several boards or option sets emulates each
+// distinct program once. Trace generation and board measurement are both
+// deterministic per benchmark, so the result is identical to the
+// sequential path, in suite order.
+func MeasureSuiteParallel(board *hw.Board, opts ubench.Options, parallelism int, memo *tracememo.Memo) ([]Measurement, error) {
 	benches := ubench.Suite()
 	out := make([]Measurement, len(benches))
 	err := par.ForEach(len(benches), parallelism, func(i int) error {
 		b := benches[i]
-		tr, err := b.Trace(opts)
+		tr, err := b.TraceWith(opts, memo)
 		if err != nil {
 			return err
 		}
@@ -287,9 +291,10 @@ func Tune(base sim.Config, ms []Measurement, opt TuneOptions) (*TuneResult, erro
 }
 
 // SeedLatencies plugs lmbench estimates into a base configuration
-// (methodology step 2), snapping to the discrete candidate values.
-func SeedLatencies(base sim.Config, board *hw.Board) (sim.Config, error) {
-	est, err := lmbench.Estimate(board)
+// (methodology step 2), snapping to the discrete candidate values. The
+// chase traces are recorded through memo (nil: no memo).
+func SeedLatencies(base sim.Config, board *hw.Board, memo *tracememo.Memo) (sim.Config, error) {
+	est, err := lmbench.EstimateWith(board, memo)
 	if err != nil {
 		return sim.Config{}, err
 	}

@@ -120,7 +120,7 @@ func TestSeedLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := SeedLatencies(sim.PublicA53(), p.A53)
+	cfg, err := SeedLatencies(sim.PublicA53(), p.A53, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
